@@ -92,6 +92,16 @@ def scatter_projection(event) -> float:
     return float(event.scatter_xy[0])
 
 
+def _field_values(log: "EventLog", field: str) -> list[float]:
+    """One coordinate field's values, in log order, from the events that
+    carry it. field is "screen_x" or "scatter_projection"."""
+    if field not in HISTOGRAM_FIELDS:
+        raise ValueError(f"unknown histogram field {field!r}; expected one of {HISTOGRAM_FIELDS}")
+    if field == "screen_x":
+        return [e.screen_x for e in log.events if e.screen_x is not None]
+    return [scatter_projection(e) for e in log.events if e.scatter_xy is not None]
+
+
 def histogram(
     log: "EventLog",
     field: str,
@@ -104,12 +114,7 @@ def histogram(
     the field are ignored, events carrying it but falling outside
     value_range are dropped and counted in n_dropped.
     """
-    if field not in HISTOGRAM_FIELDS:
-        raise ValueError(f"unknown histogram field {field!r}; expected one of {HISTOGRAM_FIELDS}")
-    if field == "screen_x":
-        values = [e.screen_x for e in log.events if e.screen_x is not None]
-    else:
-        values = [scatter_projection(e) for e in log.events if e.scatter_xy is not None]
+    values = _field_values(log, field)
     if not values:
         raise ValueError(f"event log has no events with field {field!r}")
     return FringeHistogram.from_values(values, n_bins, value_range)

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    HISTOGRAM_FIELDS,
     FringeHistogram,
+    _field_values,
     compute_metrics,
     histogram,
     overlap_distinguishability,
@@ -31,6 +33,7 @@ from .io import (
     write_metrics_csv,
 )
 from .measurement import coincidence_modulate
+from .montecarlo import RngStream
 from .wavefield import single_slit_intensity
 
 
@@ -93,19 +96,23 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return build_preset(args.preset)
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed the random streams cannot take as a bad argument."""
+    try:
+        RngStream(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _auto_field(log) -> str:
-    if any(e.screen_x is not None for e in log.events):
-        return "screen_x"
-    if any(e.scatter_xy is not None for e in log.events):
-        return "scatter_projection"
+    for field in HISTOGRAM_FIELDS:
+        if _field_values(log, field):
+            return field
     raise ValueError("event log holds only port records; nothing to histogram")
 
 
 def _field_range(log, field: str) -> tuple[float, float]:
-    if field == "screen_x":
-        values = [e.screen_x for e in log.events if e.screen_x is not None]
-    else:
-        values = [e.scatter_xy[0] for e in log.events if e.scatter_xy is not None]
+    values = _field_values(log, field)
     if not values:
         raise ValueError(f"event log has no {field} records")
     lo, hi = min(values), max(values)
@@ -115,6 +122,7 @@ def _field_range(log, field: str) -> tuple[float, float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     config = _resolve_config(args)
     log = run_experiment(config, args.events, args.seed)
     write_events_csv(log, args.out)
@@ -138,6 +146,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     text = _load_config_text(args.config)
     if args.steps < 1:
         raise ConfigError("steps must be at least 1")

@@ -14,9 +14,10 @@ import cmath
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Union
 
-from .composite import PATTERN_CONVENTIONS, PhaseNoise, StateVector, TRIVIAL_STATE
+from .composite import PATTERN_CONVENTIONS, PhaseNoise, StateVector
 from .measurement import MeasurementOperator, WeakScreen
 from .wavefield import TWO_PI, BeamSpec, CrossingRegion, MZGeometry, ScreenGrid, TwoSlitGeometry
 
@@ -43,7 +44,6 @@ DEFAULT_SLIT_SEPARATION = 10e-6
 DEFAULT_SLIT_WIDTH = 2e-6
 DEFAULT_SCREEN_DISTANCE = 1.0
 DEFAULT_SCREEN_HALF_WIDTH = 0.15
-DEFAULT_SCREEN_POINTS = 2048
 DEFAULT_CROSSING_SIZE = 3e-6
 
 
@@ -118,13 +118,13 @@ class ExperimentConfig:
                 * self.detector_overlap * cmath.exp(1j * self.detector_overlap_phase))
 
 
-def _default_two_slit() -> TwoSlitGeometry:
+def _default_geometry(TwoSlitGeometry, ) -> TwoSlitGeometry:
     return TwoSlitGeometry(
         slit_separation=DEFAULT_SLIT_SEPARATION,
         slit_width=DEFAULT_SLIT_WIDTH,
         screen_distance=DEFAULT_SCREEN_DISTANCE,
         slit_amplitudes=(1.0, 1.0),
-        screen_grid=ScreenGrid(-DEFAULT_SCREEN_HALF_WIDTH, DEFAULT_SCREEN_HALF_WIDTH, DEFAULT_SCREEN_POINTS),
+        screen_grid=ScreenGrid(-DEFAULT_SCREEN_HALF_WIDTH, DEFAULT_SCREEN_HALF_WIDTH),
     )
 
 
@@ -154,23 +154,23 @@ def build_preset(name: str) -> ExperimentConfig:
     beam = BeamSpec(wavelength=DEFAULT_WAVELENGTH, amplitude=1.0)
     none = PhaseNoise.none()
     if name == "young_baseline":
-        return ExperimentConfig(name, beam, _default_two_slit(), none)
+        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), none)
     if name == "young_random_phase":
-        return ExperimentConfig(name, beam, _default_two_slit(), PhaseNoise.uniform(0.0, TWO_PI))
+        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), PhaseNoise.uniform(0.0, TWO_PI))
     if name == "young_internal_incoherent":
-        return ExperimentConfig(name, beam, _default_two_slit(), none, internal_overlap=0.0)
+        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), none, internal_overlap=0.0)
     if name == "young_micromaser":
-        return ExperimentConfig(name, beam, _default_two_slit(), none, detector_overlap=0.0)
+        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), none, detector_overlap=0.0)
     if name == "young_single_cavity":
         return ExperimentConfig(
-            name, beam, _default_two_slit(), none,
+            name, beam, _default_geometry(TwoSlitGeometry, ), none,
             internal_overlap=0.0, detector_overlap=0.0,
             measurement=_uniform_response_operator(),
             pattern_convention="measurement_mediated", single_cavity=True,
         )
     if name == "eraser_modulation":
         return ExperimentConfig(
-            name, beam, _default_two_slit(), none,
+            name, beam, _default_geometry(TwoSlitGeometry, ), none,
             detector_overlap=0.0,
             measurement=_uniform_response_operator(),
             pattern_convention="measurement_mediated",
@@ -183,11 +183,9 @@ def build_preset(name: str) -> ExperimentConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def _parse_complex(text: str) -> complex:
@@ -197,12 +195,9 @@ def _parse_complex(text: str) -> complex:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float, complex)):
-        return repr(value)
     return str(value)
 
 
-# key -> (parser, one-line validity check or None)
 def _in_unit_interval(v: float) -> None:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"must lie in [0, 1], got {v!r}")
@@ -213,105 +208,82 @@ def _positive(v: float) -> None:
         raise ValueError(f"must be positive, got {v!r}")
 
 
-_KEY_TABLE = {
-    "scenario": (str, None),
-    "beam.wavelength": (float, _positive),
-    "beam.amplitude": (_parse_complex, None),
-    "noise.distribution": (str, None),
-    "noise.independent_per_branch": (_parse_bool, None),
-    "noise.value": (float, None),
-    "noise.low": (float, None),
-    "noise.high": (float, None),
-    "noise.sigma": (float, None),
-    "internal_overlap": (float, _in_unit_interval),
-    "internal_overlap_phase": (float, None),
-    "detector_overlap": (float, _in_unit_interval),
-    "detector_overlap_phase": (float, None),
-    "pattern_convention": (str, None),
-    "single_cavity": (_parse_bool, None),
-    "geometry.slit_separation": (float, _positive),
-    "geometry.slit_width": (float, _positive),
-    "geometry.screen_distance": (float, _positive),
-    "geometry.slit_amplitude1": (_parse_complex, None),
-    "geometry.slit_amplitude2": (_parse_complex, None),
-    "geometry.screen_x_min": (float, None),
-    "geometry.screen_x_max": (float, None),
-    "geometry.screen_points": (int, None),
-    "mz.bs2_present": (_parse_bool, None),
-    "mz.phase_difference": (float, None),
-    "mz.crossing_wavenumber": (float, _positive),
-    "mz.crossing_x_min": (float, None),
-    "mz.crossing_x_max": (float, None),
-    "mz.crossing_y_min": (float, None),
-    "mz.crossing_y_max": (float, None),
-    "weak_screen.transmittance": (float, _in_unit_interval),
-    "weak_screen.scatter_fraction": (float, _in_unit_interval),
-    "measurement.mode": (str, None),
-    "measurement.com_factor": (_parse_complex, None),
-    "measurement.g11": (_parse_complex, None),
-    "measurement.g12": (_parse_complex, None),
-    "measurement.g21": (_parse_complex, None),
-    "measurement.g22": (_parse_complex, None),
+def _geometry(kind, get):
+    """Getter of a field of one bench's geometry; None on the other bench."""
+    return lambda c: get(c.geometry) if isinstance(c.geometry, kind) else None
+
+
+def _weak_screen(get):
+    return lambda c: None if c.weak_screen is None else get(c.weak_screen)
+
+
+def _operator(get, mode: Optional[str] = None):
+    """Getter of a measurement field; None without an operator or in another mode."""
+    return lambda c: None if c.measurement is None or mode not in (None, c.measurement.mode) else get(c.measurement)
+
+
+#: The config format, one row per key in canonical order: key -> (value
+#: parser, range check or None, getter). The getter reads the key's value
+#: from a config; None means the key does not apply to that config.
+_SCHEMA = {
+    "scenario": (str, None, attrgetter("scenario")),
+    "beam.wavelength": (float, _positive, attrgetter("beam.wavelength")),
+    "beam.amplitude": (_parse_complex, None, attrgetter("beam.amplitude")),
+    "noise.distribution": (str, None, attrgetter("noise.distribution")),
+    "noise.independent_per_branch": (_parse_bool, None, attrgetter("noise.independent_per_branch")),
+    "noise.value": (float, None, attrgetter("noise.value")),
+    "noise.low": (float, None, attrgetter("noise.low")),
+    "noise.high": (float, None, attrgetter("noise.high")),
+    "noise.sigma": (float, None, attrgetter("noise.sigma")),
+    "internal_overlap": (float, _in_unit_interval, attrgetter("internal_overlap")),
+    "internal_overlap_phase": (float, None, attrgetter("internal_overlap_phase")),
+    "detector_overlap": (float, _in_unit_interval, attrgetter("detector_overlap")),
+    "detector_overlap_phase": (float, None, attrgetter("detector_overlap_phase")),
+    "pattern_convention": (str, None, attrgetter("pattern_convention")),
+    "single_cavity": (_parse_bool, None, attrgetter("single_cavity")),
+    "geometry.slit_separation": (float, _positive, _geometry(TwoSlitGeometry, attrgetter("slit_separation"))),
+    "geometry.slit_width": (float, _positive, _geometry(TwoSlitGeometry, attrgetter("slit_width"))),
+    "geometry.screen_distance": (float, _positive, _geometry(TwoSlitGeometry, attrgetter("screen_distance"))),
+    "geometry.slit_amplitude1": (_parse_complex, None, _geometry(TwoSlitGeometry, lambda g: g.slit_amplitudes[0])),
+    "geometry.slit_amplitude2": (_parse_complex, None, _geometry(TwoSlitGeometry, lambda g: g.slit_amplitudes[1])),
+    "geometry.screen_x_min": (float, None, _geometry(TwoSlitGeometry, attrgetter("screen_grid.x_min"))),
+    "geometry.screen_x_max": (float, None, _geometry(TwoSlitGeometry, attrgetter("screen_grid.x_max"))),
+    "mz.bs2_present": (_parse_bool, None, _geometry(MZGeometry, attrgetter("bs2_present"))),
+    "mz.phase_difference": (float, None, _geometry(MZGeometry, attrgetter("phase_difference"))),
+    "mz.crossing_wavenumber": (float, _positive, _geometry(MZGeometry, attrgetter("crossing_wavenumber"))),
+    "mz.crossing_x_min": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.x_min"))),
+    "mz.crossing_x_max": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.x_max"))),
+    "mz.crossing_y_min": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.y_min"))),
+    "mz.crossing_y_max": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.y_max"))),
+    "weak_screen.transmittance": (float, _in_unit_interval, _weak_screen(attrgetter("transmittance"))),
+    "weak_screen.scatter_fraction": (float, _in_unit_interval, _weak_screen(attrgetter("scatter_fraction"))),
+    "measurement.mode": (str, None, _operator(attrgetter("mode"))),
+    "measurement.com_factor": (_parse_complex, None, _operator(attrgetter("com_factor"), "center_of_mass")),
+    "measurement.g11": (_parse_complex, None, _operator(lambda m: m.matrix_elements[0][0], "internal")),
+    "measurement.g12": (_parse_complex, None, _operator(lambda m: m.matrix_elements[0][1], "internal")),
+    "measurement.g21": (_parse_complex, None, _operator(lambda m: m.matrix_elements[1][0], "internal")),
+    "measurement.g22": (_parse_complex, None, _operator(lambda m: m.matrix_elements[1][1], "internal")),
 }
 
 
-def _raw_items(config: ExperimentConfig) -> dict[str, object]:
-    """Flatten a config to the key table's value set, in canonical order."""
-    items: dict[str, object] = {"scenario": config.scenario}
-    items["beam.wavelength"] = config.beam.wavelength
-    items["beam.amplitude"] = config.beam.amplitude
-    n = config.noise
-    items["noise.distribution"] = n.distribution
-    items["noise.independent_per_branch"] = n.independent_per_branch
-    items["noise.value"] = n.value
-    items["noise.low"] = n.low
-    items["noise.high"] = n.high
-    items["noise.sigma"] = n.sigma
-    items["internal_overlap"] = config.internal_overlap
-    items["internal_overlap_phase"] = config.internal_overlap_phase
-    items["detector_overlap"] = config.detector_overlap
-    items["detector_overlap_phase"] = config.detector_overlap_phase
-    items["pattern_convention"] = config.pattern_convention
-    items["single_cavity"] = config.single_cavity
-    if isinstance(config.geometry, TwoSlitGeometry):
-        g = config.geometry
-        items["geometry.slit_separation"] = g.slit_separation
-        items["geometry.slit_width"] = g.slit_width
-        items["geometry.screen_distance"] = g.screen_distance
-        items["geometry.slit_amplitude1"] = g.slit_amplitudes[0]
-        items["geometry.slit_amplitude2"] = g.slit_amplitudes[1]
-        items["geometry.screen_x_min"] = g.screen_grid.x_min
-        items["geometry.screen_x_max"] = g.screen_grid.x_max
-        items["geometry.screen_points"] = g.screen_grid.n_points
-    else:
-        m = config.geometry
-        items["mz.bs2_present"] = m.bs2_present
-        items["mz.phase_difference"] = m.phase_difference
-        items["mz.crossing_wavenumber"] = m.crossing_wavenumber
-        items["mz.crossing_x_min"] = m.crossing_region.x_min
-        items["mz.crossing_x_max"] = m.crossing_region.x_max
-        items["mz.crossing_y_min"] = m.crossing_region.y_min
-        items["mz.crossing_y_max"] = m.crossing_region.y_max
-    if config.weak_screen is not None:
-        items["weak_screen.transmittance"] = config.weak_screen.transmittance
-        items["weak_screen.scatter_fraction"] = config.weak_screen.scatter_fraction
-    if config.measurement is not None:
-        op = config.measurement
-        items["measurement.mode"] = op.mode
-        if op.mode == "center_of_mass":
-            items["measurement.com_factor"] = op.com_factor
-        else:
-            g = op.matrix_elements
-            items["measurement.g11"] = g[0][0]
-            items["measurement.g12"] = g[0][1]
-            items["measurement.g21"] = g[1][0]
-            items["measurement.g22"] = g[1][1]
-    return items
+def _key_applies(key: str, scenario: str) -> bool:
+    """Whether a key's section belongs to the scenario's bench."""
+    section = key.partition(".")[0]
+    if section == "weak_screen":
+        return scenario == "mz_weak_screen"
+    if section in ("geometry", "measurement", "mz"):
+        return (section == "mz") == (scenario in MZ_SCENARIOS)
+    return True
+
+
+def _values(config: ExperimentConfig) -> dict[str, object]:
+    """Every key that applies to config, with its value, in table order."""
+    return {key: value for key, (_, _, get) in _SCHEMA.items() if (value := get(config)) is not None}
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; identical configs serialize byte-identically."""
-    lines = [f"{key} = {_format_value(value)}" for key, value in _raw_items(config).items()]
+    lines = [f"{key} = {_format_value(value)}" for key, value in _values(config).items()]
     return "\n".join(lines) + "\n"
 
 
@@ -320,91 +292,65 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()
 
 
-def _build_from_raw(raw: dict[str, object]) -> ExperimentConfig:
-    scenario = raw["scenario"]
-    if scenario not in PRESET_NAMES:
-        raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(PRESET_NAMES)}")
-    is_mz = scenario in MZ_SCENARIOS
+def _build(v: dict[str, object]) -> ExperimentConfig:
+    """Construct the config dataclasses once from a complete value set."""
+    scenario = v["scenario"]
     try:
-        beam = BeamSpec(wavelength=raw["beam.wavelength"], amplitude=raw["beam.amplitude"])
-        noise = PhaseNoise(
-            distribution=raw["noise.distribution"],
-            independent_per_branch=raw["noise.independent_per_branch"],
-            value=raw["noise.value"],
-            low=raw["noise.low"],
-            high=raw["noise.high"],
-            sigma=raw["noise.sigma"],
-        )
-        if is_mz:
+        if scenario in MZ_SCENARIOS:
             geometry: Union[TwoSlitGeometry, MZGeometry] = MZGeometry(
-                bs2_present=raw["mz.bs2_present"],
-                phase_difference=raw["mz.phase_difference"],
-                crossing_wavenumber=raw["mz.crossing_wavenumber"],
-                crossing_region=CrossingRegion(
-                    raw["mz.crossing_x_min"], raw["mz.crossing_x_max"],
-                    raw["mz.crossing_y_min"], raw["mz.crossing_y_max"],
-                ),
+                bs2_present=v["mz.bs2_present"],
+                phase_difference=v["mz.phase_difference"],
+                crossing_wavenumber=v["mz.crossing_wavenumber"],
+                crossing_region=CrossingRegion(*(v[f"mz.crossing_{b}"] for b in ("x_min", "x_max", "y_min", "y_max"))),
             )
         else:
             geometry = TwoSlitGeometry(
-                slit_separation=raw["geometry.slit_separation"],
-                slit_width=raw["geometry.slit_width"],
-                screen_distance=raw["geometry.screen_distance"],
-                slit_amplitudes=(raw["geometry.slit_amplitude1"], raw["geometry.slit_amplitude2"]),
-                screen_grid=ScreenGrid(
-                    raw["geometry.screen_x_min"], raw["geometry.screen_x_max"],
-                    raw["geometry.screen_points"],
-                ),
+                slit_separation=v["geometry.slit_separation"],
+                slit_width=v["geometry.slit_width"],
+                screen_distance=v["geometry.screen_distance"],
+                slit_amplitudes=(v["geometry.slit_amplitude1"], v["geometry.slit_amplitude2"]),
+                screen_grid=ScreenGrid(v["geometry.screen_x_min"], v["geometry.screen_x_max"]),
             )
         weak_screen = None
-        if "weak_screen.transmittance" in raw or "weak_screen.scatter_fraction" in raw:
-            weak_screen = WeakScreen(
-                transmittance=raw.get("weak_screen.transmittance", 0.99),
-                scatter_fraction=raw.get("weak_screen.scatter_fraction", 0.01),
-            )
+        if scenario == "mz_weak_screen":
+            weak_screen = WeakScreen(v["weak_screen.transmittance"], v["weak_screen.scatter_fraction"])
         measurement = None
-        if any(k.startswith("measurement.") for k in raw) and "measurement.mode" not in raw:
-            raise ConfigError("measurement.mode is required when measurement keys are set")
-        if "measurement.mode" in raw:
-            mode = raw["measurement.mode"]
+        if "measurement.mode" in v:
+            mode = v["measurement.mode"]
             if mode == "center_of_mass":
-                measurement = MeasurementOperator.center_of_mass(raw.get("measurement.com_factor", 1.0))
+                measurement = MeasurementOperator.center_of_mass(v.get("measurement.com_factor", 1.0))
             else:
                 basis0 = StateVector((1.0, 0.0))
-                measurement = MeasurementOperator.internal(
-                    (basis0, basis0),
-                    ((raw.get("measurement.g11", 1.0), raw.get("measurement.g12", 1.0)),
-                     (raw.get("measurement.g21", 1.0), raw.get("measurement.g22", 1.0))),
+                measurement = MeasurementOperator(
+                    mode,
+                    internal_map=(basis0, basis0),
+                    matrix_elements=[[v.get(f"measurement.g{j}{i}", 1.0) for i in (1, 2)] for j in (1, 2)],
                 )
+        elif any(k.startswith("measurement.") for k in v):
+            raise ConfigError("measurement.mode is required when measurement keys are set")
         return ExperimentConfig(
             scenario=scenario,
-            beam=beam,
+            beam=BeamSpec(wavelength=v["beam.wavelength"], amplitude=v["beam.amplitude"]),
             geometry=geometry,
-            noise=noise,
-            internal_overlap=raw["internal_overlap"],
-            internal_overlap_phase=raw["internal_overlap_phase"],
-            detector_overlap=raw["detector_overlap"],
-            detector_overlap_phase=raw["detector_overlap_phase"],
+            noise=PhaseNoise(
+                distribution=v["noise.distribution"],
+                independent_per_branch=v["noise.independent_per_branch"],
+                value=v["noise.value"],
+                low=v["noise.low"],
+                high=v["noise.high"],
+                sigma=v["noise.sigma"],
+            ),
+            internal_overlap=v["internal_overlap"],
+            internal_overlap_phase=v["internal_overlap_phase"],
+            detector_overlap=v["detector_overlap"],
+            detector_overlap_phase=v["detector_overlap_phase"],
             weak_screen=weak_screen,
             measurement=measurement,
-            pattern_convention=raw["pattern_convention"],
-            single_cavity=raw["single_cavity"],
+            pattern_convention=v["pattern_convention"],
+            single_cavity=v["single_cavity"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _scenario_keys(scenario: str) -> set[str]:
-    """Keys that may appear for a given scenario."""
-    keys = {k for k in _KEY_TABLE if "." not in k or k.split(".", 1)[0] in ("beam", "noise")}
-    if scenario in MZ_SCENARIOS:
-        keys |= {k for k in _KEY_TABLE if k.startswith("mz.")}
-        if scenario == "mz_weak_screen":
-            keys |= {k for k in _KEY_TABLE if k.startswith("weak_screen.")}
-    else:
-        keys |= {k for k in _KEY_TABLE if k.startswith("geometry.")}
-        keys |= {k for k in _KEY_TABLE if k.startswith("measurement.")}
-    return keys
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
@@ -415,7 +361,7 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
     the text (replacing file values); they are raw value strings keyed
     like file keys, used by the sweep command.
     """
-    entries: dict[str, tuple[int, str]] = {}
+    entries: dict[str, tuple[Optional[int], str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -428,37 +374,27 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
             raise ConfigError("missing key before '='", lineno)
         if not value:
             raise ConfigError(f"empty value for key {key!r}", lineno)
-        if key not in _KEY_TABLE:
-            raise ConfigError(f"unknown key {key!r}", lineno)
         if key in entries:
             raise ConfigError(f"duplicate key {key!r} (first set on line {entries[key][0]})", lineno)
         entries[key] = (lineno, value)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _KEY_TABLE:
-                raise ConfigError(f"unknown key {key!r}")
-            entries[key] = (entries.get(key, (0, ""))[0] or 0, value)
+    entries.update((key, (None, value)) for key, value in (overrides or {}).items())
     if "scenario" not in entries:
         raise ConfigError("missing required key: scenario")
-    scenario_line, scenario = entries["scenario"]
+    scenario_line, scenario = entries.pop("scenario")
     if scenario not in PRESET_NAMES:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; valid: {', '.join(PRESET_NAMES)}",
-            scenario_line or None,
-        )
-    allowed = _scenario_keys(scenario)
-    raw: dict[str, object] = dict(_raw_items(build_preset(scenario)))
-    for key, (lineno, value) in entries.items():
-        if key == "scenario":
-            continue
-        if key not in allowed:
-            raise ConfigError(f"key {key!r} is not valid for scenario {scenario}", lineno or None)
-        parser, check = _KEY_TABLE[key]
+        raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(PRESET_NAMES)}", scenario_line)
+    values = _values(build_preset(scenario))
+    for key, (lineno, raw) in entries.items():
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown key {key!r}", lineno)
+        if not _key_applies(key, scenario):
+            raise ConfigError(f"key {key!r} is not valid for scenario {scenario}", lineno)
+        parse, check, _ = _SCHEMA[key]
         try:
-            parsed = parser(value)
+            value = parse(raw)
             if check is not None:
-                check(parsed)
+                check(value)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}", lineno or None) from exc
-        raw[key] = parsed
-    return _build_from_raw(raw)
+            raise ConfigError(f"bad value for {key}: {exc}", lineno) from exc
+        values[key] = value
+    return _build(values)

@@ -23,7 +23,7 @@ import numpy as np
 from .composite import CompositeState, noise_averaged_pattern, overlap_pair, two_slit_composite
 from .config import CAVITY_SCENARIOS, MZ_SCENARIOS, ExperimentConfig, config_digest
 from .measurement import WhichWayRecord, measured_signal, midline_profile, weak_screen_interact
-from .montecarlo import DetectionEvent, EventLog, RngStream, sample_positions, sampling_grid
+from .montecarlo import DetectionEvent, EventLog, RngStream, _inverse_cdf, sample_positions, sampling_grid
 from .wavefield import TwoSlitGeometry, mz_port_intensity
 
 #: Cells in the inverse-CDF sampling grid across the screen.
@@ -121,14 +121,11 @@ def _append_tagged_events(events: list, config: ExperimentConfig, n: int, rng, s
         raise ValueError("sampling profile must have positive total weight")
     draws = rng.random((n, 3))
     through1 = draws[:, 0] < p1
-    idx = np.where(
+    xs = np.where(
         through1,
-        np.searchsorted(cdf1, draws[:, 1] * cdf1[-1], side="right"),
-        np.searchsorted(cdf2, draws[:, 1] * cdf2[-1], side="right"),
+        _inverse_cdf(grid, cdf1, draws[:, 1], draws[:, 2]),
+        _inverse_cdf(grid, cdf2, draws[:, 1], draws[:, 2]),
     )
-    idx = np.minimum(idx, grid.size - 1)
-    width = grid[1] - grid[0]
-    xs = grid[idx] + (draws[:, 2] - 0.5) * width
     name = config.scenario
     single = config.single_cavity
     for x, tag1 in zip(xs.tolist(), through1.tolist()):

@@ -7,6 +7,7 @@ round-trips, and lines always end with a bare newline.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Union
 
@@ -57,13 +58,21 @@ def write_events_csv(log: EventLog, path: PathLike) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
 def read_events_csv(path: PathLike) -> EventLog:
     """Parse an events CSV back into a log.
 
     The file does not carry the configuration digest, so the returned
     log's digest is empty. Which-way rows with zero total photons can
     only come from single-cavity tagging, so that mode flag is restored
-    from the counts themselves.
+    from the counts themselves. A malformed row raises ValueError citing
+    path:line.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -74,27 +83,30 @@ def read_events_csv(path: PathLike) -> EventLog:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
-        (event_id, experiment, screen_x, mz_port, cav1, cav2, scatter_x, scatter_y, stream_id) = parts
-        whichway = None
-        if cav1 or cav2:
-            if not (cav1 and cav2):
-                raise ValueError(f"{path}:{lineno}: cavity counts must both be present or both empty")
-            c1, c2 = int(cav1), int(cav2)
-            whichway = WhichWayRecord(c1, c2, single_cavity_mode=(c1 + c2 == 0))
-        scatter_xy = None
-        if scatter_x or scatter_y:
-            scatter_xy = (float(scatter_x), float(scatter_y))
-        events.append(DetectionEvent(
-            event_id=int(event_id),
-            experiment=experiment,
-            screen_x=float(screen_x) if screen_x else None,
-            mz_port=mz_port if mz_port else None,
-            whichway=whichway,
-            scatter_xy=scatter_xy,
-            stream_id=int(stream_id),
-        ))
+        try:
+            if len(parts) != 9:
+                raise ValueError(f"expected 9 fields, got {len(parts)}")
+            (event_id, experiment, screen_x, mz_port, cav1, cav2, scatter_x, scatter_y, stream_id) = parts
+            whichway = None
+            if cav1 or cav2:
+                if not (cav1 and cav2):
+                    raise ValueError("cavity counts must both be present or both empty")
+                c1, c2 = int(cav1), int(cav2)
+                whichway = WhichWayRecord(c1, c2, single_cavity_mode=(c1 + c2 == 0))
+            scatter_xy = None
+            if scatter_x or scatter_y:
+                scatter_xy = (_finite(scatter_x), _finite(scatter_y))
+            events.append(DetectionEvent(
+                event_id=int(event_id),
+                experiment=experiment,
+                screen_x=_finite(screen_x) if screen_x else None,
+                mz_port=mz_port if mz_port else None,
+                whichway=whichway,
+                scatter_xy=scatter_xy,
+                stream_id=int(stream_id),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return EventLog(tuple(events))
 
 

@@ -102,6 +102,18 @@ def _cell_width(positions: np.ndarray) -> float:
     return float(positions[1] - positions[0])
 
 
+def _inverse_cdf(positions: np.ndarray, cdf: np.ndarray, cell_u, jitter_u):
+    """Inverse-CDF sampling core shared by every screen draw.
+
+    cell_u picks a cell of the grid positions with probability
+    proportional to its weight (cdf is the running sum of the weights);
+    jitter_u then places the draw uniformly inside that cell. Scalars or
+    equal-shape arrays of uniforms in [0, 1) are accepted.
+    """
+    idx = np.minimum(np.searchsorted(cdf, cell_u * cdf[-1], side="right"), positions.size - 1)
+    return positions[idx] + (jitter_u - 0.5) * _cell_width(positions)
+
+
 def sample_position(positions, weights, rng: np.random.Generator) -> float:
     """One coordinate drawn proportional to weights on a uniform grid.
 
@@ -114,11 +126,8 @@ def sample_position(positions, weights, rng: np.random.Generator) -> float:
     weights = _checked_weights(weights)
     if positions.shape != weights.shape:
         raise ValueError("positions and profile must have the same shape")
-    cdf = np.cumsum(weights)
-    u = rng.random() * cdf[-1]
-    idx = min(int(np.searchsorted(cdf, u, side="right")), positions.size - 1)
-    jitter = (rng.random() - 0.5) * _cell_width(positions)
-    return float(positions[idx] + jitter)
+    cell_u, jitter_u = rng.random(), rng.random()
+    return float(_inverse_cdf(positions, np.cumsum(weights), cell_u, jitter_u))
 
 
 def sample_positions(positions, weights, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -136,10 +145,8 @@ def sample_positions(positions, weights, rng: np.random.Generator, n: int) -> np
         raise ValueError("positions and profile must have the same shape")
     if n == 0:
         return np.empty(0)
-    cdf = np.cumsum(weights)
     draws = rng.random((n, 2))
-    idx = np.minimum(np.searchsorted(cdf, draws[:, 0] * cdf[-1], side="right"), positions.size - 1)
-    return positions[idx] + (draws[:, 1] - 0.5) * _cell_width(positions)
+    return _inverse_cdf(positions, np.cumsum(weights), draws[:, 0], draws[:, 1])
 
 
 def sampling_grid(x_min: float, x_max: float, n_cells: int = 4096) -> np.ndarray:

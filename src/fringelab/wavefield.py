@@ -74,26 +74,17 @@ class BeamSpec:
 
 @dataclass(frozen=True)
 class ScreenGrid:
-    """Uniform detection grid on the observation screen."""
+    """Extent of the observation screen. Events are drawn on a fixed grid of
+    cells across it (experiments.SAMPLING_CELLS)."""
 
     x_min: float
     x_max: float
-    n_points: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError("screen bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"screen requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_points < 2:
-            raise ValueError(f"screen grid needs at least 2 points, got {self.n_points}")
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
-
-    @property
-    def cell_width(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ class TwoSlitGeometry:
     slit_width: float
     screen_distance: float
     slit_amplitudes: tuple[complex, complex] = (1.0 + 0.0j, 1.0 + 0.0j)
-    screen_grid: ScreenGrid = ScreenGrid(-0.15, 0.15, 2048)
+    screen_grid: ScreenGrid = ScreenGrid(-0.15, 0.15)
 
     def __post_init__(self) -> None:
         d, a, L = self.slit_separation, self.slit_width, self.screen_distance

@@ -165,3 +165,36 @@ def test_eraser_empty_log(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(EVENTS_HEADER + "\n")
     assert run("eraser", "--events", empty, "--gamma", 0.0, "--out", tmp_path / "m.csv") == 3
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_a_config_error(tmp_path, capsys, seed):
+    assert run("simulate", "--preset", "young_baseline", "--events", 10, "--seed", seed,
+               "--out", tmp_path / "x.csv") == 2
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset("young_baseline")))
+    assert run("sweep", "--config", cfg, "--param", "detector_overlap",
+               "--from", 0.0, "--to", 1.0, "--steps", 2,
+               "--events", 10, "--seed", seed, "--out", tmp_path / "s.csv") == 2
+    assert "64-bit unsigned" in capsys.readouterr().err
+
+
+def test_screen_points_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("scenario = young_baseline\ngeometry.screen_points = 100\n")
+    assert run("simulate", "--config", cfg, "--events", 10, "--seed", 1, "--out", tmp_path / "x.csv") == 2
+    assert "line 2: unknown key 'geometry.screen_points'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "1,run,nan,,,,,,0",
+    "1,run,,,,,1e-06,inf,0",
+    "1,run,abc,,,,,,0",
+    "1,run,0.1,,2,0,,,0",
+])
+def test_analyze_rejects_a_bad_cell_with_its_location(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{EVENTS_HEADER}\n0,run,0.1,,,,,,0\n{row}\n")
+    assert run("analyze", "--events", bad,
+               "--out-hist", tmp_path / "h.csv", "--out-metrics", tmp_path / "m.csv") == 3
+    assert f"{bad}:3:" in capsys.readouterr().err

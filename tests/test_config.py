@@ -3,13 +3,18 @@
 import math
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from fringelab.composite import PATTERN_CONVENTIONS
 from fringelab.config import (
+    _SCHEMA,
     CAVITY_SCENARIOS,
     MZ_SCENARIOS,
     PRESET_NAMES,
     ConfigError,
     ExperimentConfig,
+    _key_applies,
     build_preset,
     config_digest,
     parse_config,
@@ -222,3 +227,84 @@ def test_direct_construction_validates_geometry_match():
             geometry=mz.geometry,
             noise=base.noise,
         )
+
+
+# --- the schema table as a whole ---
+
+
+_AMPLITUDES = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+#: In-range values for every key of the format except scenario. Cross-field
+#: rules (slit_width < slit_separation, cavity benches need detector_overlap
+#: 0, ...) are left to parse_config, which rejects the draws that break them.
+KEY_VALUES = {
+    "beam.wavelength": st.floats(1e-7, 1e-6),
+    "beam.amplitude": _AMPLITUDES,
+    "noise.distribution": st.sampled_from(("none", "constant", "uniform", "gaussian")),
+    "noise.independent_per_branch": st.booleans(),
+    "noise.value": st.floats(-7.0, 7.0),
+    "noise.low": st.floats(-1.0, 0.0),
+    "noise.high": st.floats(0.5, 7.0),
+    "noise.sigma": st.floats(0.0, 3.0),
+    "internal_overlap": st.floats(0.0, 1.0),
+    "internal_overlap_phase": st.floats(-4.0, 4.0),
+    "detector_overlap": st.floats(0.0, 1.0),
+    "detector_overlap_phase": st.floats(-4.0, 4.0),
+    "pattern_convention": st.sampled_from(PATTERN_CONVENTIONS),
+    "single_cavity": st.booleans(),
+    "geometry.slit_separation": st.floats(5e-6, 2e-5),
+    "geometry.slit_width": st.floats(1e-7, 4e-6),
+    "geometry.screen_distance": st.floats(0.5, 3.0),
+    "geometry.slit_amplitude1": _AMPLITUDES,
+    "geometry.slit_amplitude2": _AMPLITUDES,
+    "geometry.screen_x_min": st.floats(-0.3, -0.01),
+    "geometry.screen_x_max": st.floats(0.01, 0.3),
+    "mz.bs2_present": st.booleans(),
+    "mz.phase_difference": st.floats(-7.0, 7.0),
+    "mz.crossing_wavenumber": st.floats(1e6, 1e8),
+    "mz.crossing_x_min": st.floats(-1e-5, 0.0),
+    "mz.crossing_x_max": st.floats(1e-6, 1e-5),
+    "mz.crossing_y_min": st.floats(-1e-5, 0.0),
+    "mz.crossing_y_max": st.floats(1e-6, 1e-5),
+    "weak_screen.transmittance": st.floats(0.0, 0.5),
+    "weak_screen.scatter_fraction": st.floats(0.0, 0.5),
+    "measurement.mode": st.sampled_from(("center_of_mass", "internal")),
+    "measurement.com_factor": st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                                                 allow_nan=False, allow_infinity=False),
+    "measurement.g11": _AMPLITUDES,
+    "measurement.g12": _AMPLITUDES,
+    "measurement.g21": _AMPLITUDES,
+    "measurement.g22": _AMPLITUDES,
+}
+
+
+def _as_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
+
+
+def test_key_values_cover_the_schema():
+    assert set(KEY_VALUES) | {"scenario"} == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("scenario", PRESET_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_schema_round_trips_in_range_values(scenario, data):
+    keys = [key for key in KEY_VALUES if _key_applies(key, scenario)]
+    drawn = {key: data.draw(KEY_VALUES[key], label=key)
+             for key in data.draw(st.lists(st.sampled_from(keys), unique=True))}
+    lines = [f"scenario = {scenario}"] + [f"{key} = {_as_text(v)}" for key, v in drawn.items()]
+    try:
+        config = parse_config("\n".join(lines) + "\n")
+    except ConfigError:
+        reject()
+    for key, value in drawn.items():
+        # a key drawn for another measurement mode than the one in force has no getter value
+        assert _SCHEMA[key][2](config) in (None, value)
+    text = serialize_config(config)
+    again = parse_config(text)
+    assert again == config
+    assert serialize_config(again) == text
+    assert config_digest(again) == config_digest(config)
