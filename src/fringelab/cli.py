@@ -1,8 +1,8 @@
 """Command-line surface: simulate, analyze, sweep, eraser.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
-value, unknown preset), 3 runtime failure (missing or malformed event
-log, unwritable output, no analyzable field).
+value, unknown preset, out-of-range seed or count), 3 runtime failure
+(missing or malformed event log, unwritable output, no analyzable field).
 """
 
 from __future__ import annotations
@@ -104,6 +104,12 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_at_least(option: str, value: int, least: int) -> None:
+    """Reject a count below its minimum as a bad argument."""
+    if value < least:
+        raise ConfigError(f"{option} must be at least {least}, got {value}")
+
+
 def _auto_field(log) -> str:
     for field in HISTOGRAM_FIELDS:
         if _field_values(log, field):
@@ -123,6 +129,7 @@ def _field_range(log, field: str) -> tuple[float, float]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
+    _check_at_least("--events", args.events, 1)
     config = _resolve_config(args)
     log = run_experiment(config, args.events, args.seed)
     write_events_csv(log, args.out)
@@ -131,6 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _check_at_least("--bins", args.bins, 2)
     log = read_events_csv(args.events)
     field = _auto_field(log)
     h = histogram(log, field, args.bins, _field_range(log, field))
@@ -147,9 +155,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
+    _check_at_least("--steps", args.steps, 1)
+    _check_at_least("--events", args.events, 1)
     text = _load_config_text(args.config)
-    if args.steps < 1:
-        raise ConfigError("steps must be at least 1")
     lines = [SWEEP_HEADER]
     for value in np.linspace(args.start, args.stop, args.steps).tolist():
         config = parse_config(text, overrides={args.param: repr(value)})
@@ -172,6 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_eraser(args: argparse.Namespace) -> int:
+    _check_at_least("--bins", args.bins, 2)
     log = read_events_csv(args.events)
     if not log.events:
         raise ValueError("event log is empty")

@@ -14,6 +14,11 @@ Per-event uniforms by scenario family:
 * weak-screen runs: (classify), then (cell, jitter) when scattered or
   (port) when transmitted; absorbed particles end after one draw and
   leave no record, so those runs can log fewer events than particles.
+
+Weak-screen runs read their uniforms ahead in blocks and then walk the
+variable strides (3, 2 or 1 uniforms per particle) through the block,
+so their output equals the per-particle loop over weak_screen_interact
+and a port draw; only the stream's position after the run differs.
 """
 
 from __future__ import annotations
@@ -22,12 +27,24 @@ import numpy as np
 
 from .composite import CompositeState, noise_averaged_pattern, overlap_pair, two_slit_composite
 from .config import CAVITY_SCENARIOS, MZ_SCENARIOS, ExperimentConfig, config_digest
-from .measurement import WhichWayRecord, measured_signal, midline_profile, weak_screen_interact
-from .montecarlo import DetectionEvent, EventLog, RngStream, _inverse_cdf, sample_positions, sampling_grid
+from .measurement import WhichWayRecord, measured_signal, midline_profile
+from .montecarlo import (
+    DetectionEvent,
+    EventLog,
+    RngStream,
+    _checked_weights,
+    _inverse_cdf,
+    sample_positions,
+    sampling_grid,
+)
 from .wavefield import TwoSlitGeometry, mz_port_intensity
 
 #: Cells in the inverse-CDF sampling grid across the screen.
 SAMPLING_CELLS = 4096
+
+#: Particles per block of uniforms read ahead by weak-screen runs; bounds
+#: the scratch memory at three uniforms per particle.
+WEAK_SCREEN_BLOCK = 4096
 
 
 def composite_from_config(config: ExperimentConfig, include_envelope: bool = True) -> CompositeState:
@@ -126,13 +143,14 @@ def _append_tagged_events(events: list, config: ExperimentConfig, n: int, rng, s
         _inverse_cdf(grid, cdf1, draws[:, 1], draws[:, 2]),
         _inverse_cdf(grid, cdf2, draws[:, 1], draws[:, 2]),
     )
+    if config.single_cavity:
+        record1 = WhichWayRecord(1, 0, single_cavity_mode=True)
+        record2 = WhichWayRecord(0, 0, single_cavity_mode=True)
+    else:
+        record1, record2 = WhichWayRecord(1, 0), WhichWayRecord(0, 1)
     name = config.scenario
-    single = config.single_cavity
     for x, tag1 in zip(xs.tolist(), through1.tolist()):
-        if single:
-            record = WhichWayRecord(1 if tag1 else 0, 0, single_cavity_mode=True)
-        else:
-            record = WhichWayRecord(1 if tag1 else 0, 0 if tag1 else 1)
+        record = record1 if tag1 else record2
         events.append(DetectionEvent(len(events), name, screen_x=x, whichway=record, stream_id=stream_id))
 
 
@@ -151,19 +169,47 @@ def _append_port_events(events: list, config: ExperimentConfig, n: int, rng, str
 
 
 def _append_weak_screen_events(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:
+    """Vectorized loop of weak_screen_interact plus a port draw when
+    transmitted.
+
+    Each block holds at least three uniforms per particle. Every uniform
+    is classified as a particle's first draw would be (scatter band, then
+    transmission, else absorbed) and mapped to the stride that particle
+    would consume; walking the strides from the first uniform finds where
+    each particle starts. Uniforms past the last particle of a block carry
+    over to the next one.
+    """
     mz, beam, screen = config.geometry, config.beam, config.weak_screen
-    midline = midline_profile(mz, beam, SAMPLING_CELLS)
+    positions, weights = midline_profile(mz, beam, SAMPLING_CELLS)
+    cdf = np.cumsum(_checked_weights(weights))
     px = _port_x_fraction(config)
+    y = mz.crossing_region.midline_y
+    scatter_below = screen.scatter_fraction
+    transmit_below = screen.scatter_fraction + screen.transmittance
     name = config.scenario
-    for _ in range(n):
-        outcome = weak_screen_interact(screen, mz, beam, rng, midline)
-        if outcome.kind == "scattered":
-            events.append(DetectionEvent(
-                len(events), name, scatter_xy=(outcome.x, outcome.y), stream_id=stream_id,
-            ))
-        elif outcome.kind == "transmitted":
-            port = "x" if rng.random() < px else "y"
-            events.append(DetectionEvent(len(events), name, mz_port=port, stream_id=stream_id))
+    carried = np.empty(0)
+    for first in range(0, n, WEAK_SCREEN_BLOCK):
+        block = min(WEAK_SCREEN_BLOCK, n - first)
+        u = np.concatenate((carried, rng.random(max(3 * block - carried.size, 0))))
+        strides = np.where(u < scatter_below, 3, np.where(u < transmit_below, 2, 1))
+        step = strides.tolist()
+        starts = []
+        s = 0
+        for _ in range(block):
+            starts.append(s)
+            s += step[s]
+        carried = u[s:]
+        starts = np.array(starts)
+        kinds = strides[starts]
+        scattered = starts[kinds == 3]
+        xs = iter(_inverse_cdf(positions, cdf, u[scattered + 1], u[scattered + 2]).tolist())
+        to_x = iter((u[starts[kinds == 2] + 1] < px).tolist())
+        for kind in kinds.tolist():
+            if kind == 3:
+                events.append(DetectionEvent(len(events), name, scatter_xy=(next(xs), y), stream_id=stream_id))
+            elif kind == 2:
+                port = "x" if next(to_x) else "y"
+                events.append(DetectionEvent(len(events), name, mz_port=port, stream_id=stream_id))
 
 
 def _generate(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:

@@ -35,21 +35,15 @@ def _fmt(value) -> str:
 
 
 def _event_row(event: DetectionEvent) -> str:
-    scatter_x = event.scatter_xy[0] if event.scatter_xy is not None else None
-    scatter_y = event.scatter_xy[1] if event.scatter_xy is not None else None
-    ww = event.whichway
-    fields = (
-        event.event_id,
-        event.experiment,
-        None if event.screen_x is None else float(event.screen_x),
-        event.mz_port,
-        None if ww is None else ww.cavity1_photons,
-        None if ww is None else ww.cavity2_photons,
-        None if scatter_x is None else float(scatter_x),
-        None if scatter_y is None else float(scatter_y),
-        event.stream_id,
+    """One events CSV row, cell for cell what _fmt gives each field."""
+    x, port, ww, xy = event.screen_x, event.mz_port, event.whichway, event.scatter_xy
+    return (
+        f"{event.event_id},{event.experiment},"
+        f"{'' if x is None else repr(float(x))},{'' if port is None else port},"
+        f"{',' if ww is None else f'{ww.cavity1_photons},{ww.cavity2_photons}'},"
+        f"{',' if xy is None else f'{float(xy[0])!r},{float(xy[1])!r}'},"
+        f"{event.stream_id}"
     )
-    return ",".join(_fmt(f) for f in fields)
 
 
 def write_events_csv(log: EventLog, path: PathLike) -> None:
@@ -71,7 +65,8 @@ def read_events_csv(path: PathLike) -> EventLog:
     The file does not carry the configuration digest, so the returned
     log's digest is empty. Which-way rows with zero total photons can
     only come from single-cavity tagging, so that mode flag is restored
-    from the counts themselves. A malformed row raises ValueError citing
+    from the counts themselves. Rows with the same cavity cells share
+    one (frozen) WhichWayRecord. A malformed row raises ValueError citing
     path:line.
     """
     text = Path(path).read_text(encoding="utf-8")
@@ -79,6 +74,7 @@ def read_events_csv(path: PathLike) -> EventLog:
     if not lines or lines[0] != EVENTS_HEADER:
         raise ValueError(f"{path}: missing or unexpected events header")
     events = []
+    records = {}  # one shared WhichWayRecord per pair of cavity cells
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -89,10 +85,13 @@ def read_events_csv(path: PathLike) -> EventLog:
             (event_id, experiment, screen_x, mz_port, cav1, cav2, scatter_x, scatter_y, stream_id) = parts
             whichway = None
             if cav1 or cav2:
-                if not (cav1 and cav2):
-                    raise ValueError("cavity counts must both be present or both empty")
-                c1, c2 = int(cav1), int(cav2)
-                whichway = WhichWayRecord(c1, c2, single_cavity_mode=(c1 + c2 == 0))
+                whichway = records.get((cav1, cav2))
+                if whichway is None:
+                    if not (cav1 and cav2):
+                        raise ValueError("cavity counts must both be present or both empty")
+                    c1, c2 = int(cav1), int(cav2)
+                    whichway = WhichWayRecord(c1, c2, single_cavity_mode=(c1 + c2 == 0))
+                    records[(cav1, cav2)] = whichway
             scatter_xy = None
             if scatter_x or scatter_y:
                 scatter_xy = (_finite(scatter_x), _finite(scatter_y))

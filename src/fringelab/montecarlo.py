@@ -10,7 +10,7 @@ partitioned across streams and merged deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -46,6 +46,10 @@ class DetectionEvent:
 
     Exactly one of screen_x, mz_port, scatter_xy is set; whichway is
     populated only when the experiment configured a recording mechanism.
+    Records are built once per logged particle, so the constructor checks
+    its arguments in one pass and stores them through the slot
+    descriptors instead of the generated frozen __init__ and a
+    __post_init__.
     """
 
     event_id: int
@@ -56,14 +60,41 @@ class DetectionEvent:
     scatter_xy: Optional[tuple[float, float]] = None
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.event_id < 0:
+    def __init__(
+        self,
+        event_id: int,
+        experiment: str,
+        screen_x: Optional[float] = None,
+        mz_port: Optional[str] = None,
+        whichway: Optional["WhichWayRecord"] = None,
+        scatter_xy: Optional[tuple[float, float]] = None,
+        stream_id: int = 0,
+    ) -> None:
+        if event_id < 0:
             raise ValueError("event_id must be nonnegative")
-        populated = sum(v is not None for v in (self.screen_x, self.mz_port, self.scatter_xy))
+        populated = (screen_x is not None) + (mz_port is not None) + (scatter_xy is not None)
         if populated != 1:
             raise ValueError(f"exactly one terminal field must be set, got {populated}")
-        if self.mz_port is not None and self.mz_port not in MZ_PORTS:
-            raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {self.mz_port!r}")
+        if mz_port is not None and mz_port not in MZ_PORTS:
+            raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {mz_port!r}")
+        _set_event_id(self, event_id)
+        _set_experiment(self, experiment)
+        _set_screen_x(self, screen_x)
+        _set_mz_port(self, mz_port)
+        _set_whichway(self, whichway)
+        _set_scatter_xy(self, scatter_xy)
+        _set_stream_id(self, stream_id)
+
+
+# The slots' own setters: they bypass the frozen __setattr__, as the
+# generated frozen __init__ does through object.__setattr__.
+_set_event_id = DetectionEvent.event_id.__set__
+_set_experiment = DetectionEvent.experiment.__set__
+_set_screen_x = DetectionEvent.screen_x.__set__
+_set_mz_port = DetectionEvent.mz_port.__set__
+_set_whichway = DetectionEvent.whichway.__set__
+_set_scatter_xy = DetectionEvent.scatter_xy.__set__
+_set_stream_id = DetectionEvent.stream_id.__set__
 
 
 @dataclass(frozen=True)

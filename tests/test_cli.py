@@ -198,3 +198,27 @@ def test_analyze_rejects_a_bad_cell_with_its_location(tmp_path, capsys, row):
     assert run("analyze", "--events", bad,
                "--out-hist", tmp_path / "h.csv", "--out-metrics", tmp_path / "m.csv") == 3
     assert f"{bad}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,bad", [
+    ("simulate", "--events", 0),
+    ("sweep", "--events", 0),
+    ("sweep", "--steps", 0),
+    ("analyze", "--bins", 1),
+    ("eraser", "--bins", 1),
+])
+def test_bad_count_is_a_config_error(tmp_path, capsys, command, option, bad):
+    events = simulate(tmp_path, "eraser_modulation", 200)
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset("young_baseline")))
+    argv = {
+        "simulate": ["--preset", "young_baseline", "--events", 10, "--seed", 1, "--out", tmp_path / "x.csv"],
+        "sweep": ["--config", cfg, "--param", "detector_overlap", "--from", 0.0, "--to", 1.0,
+                  "--steps", 2, "--events", 10, "--seed", 5, "--out", tmp_path / "s.csv"],
+        "analyze": ["--events", events, "--out-hist", tmp_path / "h.csv", "--out-metrics", tmp_path / "m.csv"],
+        "eraser": ["--events", events, "--gamma", 0.5, "--out", tmp_path / "e.csv"],
+    }[command]
+    argv = argv + [option, bad]  # argparse keeps the last value given
+    capsys.readouterr()
+    assert run(command, *argv) == 2
+    assert f"{option} must be at least" in capsys.readouterr().err

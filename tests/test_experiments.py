@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fringelab import experiments
 from fringelab.composite import literal_pattern, noise_averaged_pattern
 from fringelab.config import PRESET_NAMES, build_preset, config_digest, parse_config
 from fringelab.experiments import (
@@ -14,7 +15,7 @@ from fringelab.experiments import (
     slit_probabilities,
 )
 from fringelab.measurement import measured_signal, micromaser_record, midline_profile, weak_screen_interact
-from fringelab.montecarlo import RngStream, sample_position, sample_positions, sampling_grid
+from fringelab.montecarlo import DetectionEvent, RngStream, sample_position, sample_positions, sampling_grid
 from fringelab.wavefield import mz_port_intensity
 
 
@@ -233,3 +234,44 @@ def test_weak_screen_absorption_drops_particles():
     # 40% absorption leaves no record, so the log shrinks
     assert len(log) < 2000
     assert len(log) == pytest.approx(2000 * 0.6, abs=4 * np.sqrt(2000 * 0.6 * 0.4))
+
+
+@pytest.mark.parametrize("n_streams", [1, 3])
+@pytest.mark.parametrize("n,block", [
+    (1, experiments.WEAK_SCREEN_BLOCK),
+    (2, experiments.WEAK_SCREEN_BLOCK),
+    (3000, experiments.WEAK_SCREEN_BLOCK),
+    (9000, experiments.WEAK_SCREEN_BLOCK),
+    (2, 1),
+    (3000, 1),
+    (3000, 5),
+])
+def test_weak_screen_run_with_absorption_replays_the_scalar_loop(monkeypatch, n, n_streams, block):
+    # 40% absorption, so all three strides (3 scattered, 2 transmitted,
+    # 1 absorbed) occur; 9000 particles and the small blocks carry
+    # uniforms across block borders
+    monkeypatch.setattr(experiments, "WEAK_SCREEN_BLOCK", block)
+    config = parse_config(
+        "scenario = mz_weak_screen\n"
+        "weak_screen.transmittance = 0.5\n"
+        "weak_screen.scatter_fraction = 0.1\n"
+    )
+    log = run_experiment(config, n, seed=13, n_streams=n_streams)
+    mz, beam, screen = config.geometry, config.beam, config.weak_screen
+    midline = midline_profile(mz, beam, SAMPLING_CELLS)
+    ix = mz_port_intensity(mz, beam, "x")
+    px = ix / (ix + mz_port_intensity(mz, beam, "y"))
+    expected = []
+    base, remainder = divmod(n, n_streams)
+    for stream_id in range(n_streams):
+        rng = RngStream(13, stream_id).generator()
+        for _ in range(base + (1 if stream_id < remainder else 0)):
+            outcome = weak_screen_interact(screen, mz, beam, rng, midline)
+            if outcome.kind == "scattered":
+                expected.append(DetectionEvent(
+                    len(expected), config.scenario, scatter_xy=(outcome.x, outcome.y), stream_id=stream_id,
+                ))
+            elif outcome.kind == "transmitted":
+                port = "x" if rng.random() < px else "y"
+                expected.append(DetectionEvent(len(expected), config.scenario, mz_port=port, stream_id=stream_id))
+    assert log.events == tuple(expected)

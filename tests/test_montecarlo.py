@@ -1,9 +1,15 @@
 """Random streams, event records, and inverse-CDF position sampling."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from fringelab.config import build_preset
+from fringelab.experiments import run_experiment
+from fringelab.io import read_events_csv, write_events_csv
 from fringelab.measurement import WhichWayRecord
 from fringelab.montecarlo import (
     DetectionEvent,
@@ -57,6 +63,56 @@ def test_event_can_carry_whichway_tag():
     record = WhichWayRecord(1, 0)
     event = DetectionEvent(0, "run", screen_x=0.0, whichway=record)
     assert event.whichway.inferred_path == 1
+
+
+_EVENT = {"event_id": 3, "experiment": "run", "screen_x": 0.25}
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({}, None),
+    ({"screen_x": None, "mz_port": "y", "stream_id": 2}, None),
+    ({"screen_x": None, "scatter_xy": (1e-6, 0.0), "whichway": WhichWayRecord(0, 1)}, None),
+    ({"event_id": -1}, "event_id must be nonnegative"),
+    ({"screen_x": None}, "exactly one terminal field must be set, got 0"),
+    ({"mz_port": "x"}, "exactly one terminal field must be set, got 2"),
+    ({"mz_port": "x", "scatter_xy": (0.0, 0.0)}, "exactly one terminal field must be set, got 3"),
+    ({"screen_x": None, "mz_port": "up"}, "mz_port must be one of ('x', 'y'), got 'up'"),
+])
+def test_event_record_contract(changes, message):
+    base = DetectionEvent(**_EVENT)
+    kwargs = {**_EVENT, **changes}
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DetectionEvent(**kwargs)
+        # replace builds through the same constructor, so it checks again
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(base, **changes)
+        return
+    event = DetectionEvent(**kwargs)
+    values = [kwargs.get(f.name, f.default) for f in dataclasses.fields(DetectionEvent)]
+    twin = DetectionEvent(*values)
+    assert event == twin == dataclasses.replace(base, **changes)
+    assert hash(event) == hash(twin)
+    assert dataclasses.astuple(event) == dataclasses.astuple(twin)
+    fields = ", ".join(f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(DetectionEvent), values))
+    assert repr(event) == f"DetectionEvent({fields})"
+    for f in dataclasses.fields(DetectionEvent):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, f.name, getattr(base, f.name))
+
+
+@pytest.mark.parametrize("preset", ["young_micromaser", "young_single_cavity"])
+def test_shared_whichway_records_equal_fresh_ones(tmp_path, preset):
+    log = run_experiment(build_preset(preset), 200, seed=4)
+    path = tmp_path / "events.csv"
+    write_events_csv(log, path)
+    for events in (log.events, read_events_csv(path).events):
+        shared = {id(e.whichway): e.whichway for e in events}
+        assert len(shared) == 2
+        for record in shared.values():
+            fresh = WhichWayRecord(record.cavity1_photons, record.cavity2_photons, record.single_cavity_mode)
+            assert record == fresh
+            assert hash(record) == hash(fresh)
 
 
 def test_event_log_requires_dense_ids():
