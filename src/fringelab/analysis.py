@@ -21,7 +21,9 @@ if TYPE_CHECKING:
 #: Slack added to the V^2 + D^2 <= 1 bound to absorb estimator noise.
 DUALITY_HEADROOM = 0.02
 
-HISTOGRAM_FIELDS = ("screen_x", "scatter_projection")
+#: The event-log column each histogram field reads.
+_FIELD_COLUMNS = {"screen_x": "screen_x", "scatter_projection": "scatter_x"}
+HISTOGRAM_FIELDS = tuple(_FIELD_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,12 @@ def scatter_projection(event) -> float:
     return float(event.scatter_xy[0])
 
 
-def _field_values(log: "EventLog", field: str) -> list[float]:
+def _field_values(log: "EventLog", field: str) -> np.ndarray:
     """One coordinate field's values, in log order, from the events that
     carry it. field is "screen_x" or "scatter_projection"."""
     if field not in HISTOGRAM_FIELDS:
         raise ValueError(f"unknown histogram field {field!r}; expected one of {HISTOGRAM_FIELDS}")
-    if field == "screen_x":
-        return [e.screen_x for e in log.events if e.screen_x is not None]
-    return [scatter_projection(e) for e in log.events if e.scatter_xy is not None]
+    return log.column(_FIELD_COLUMNS[field])
 
 
 def histogram(
@@ -115,7 +115,7 @@ def histogram(
     value_range are dropped and counted in n_dropped.
     """
     values = _field_values(log, field)
-    if not values:
+    if values.size == 0:
         raise ValueError(f"event log has no events with field {field!r}")
     return FringeHistogram.from_values(values, n_bins, value_range)
 
@@ -215,15 +215,12 @@ def distinguishability(log: "EventLog") -> MetricValue:
     records at all (no recording mechanism was configured) get a flagged
     null rather than a number.
     """
-    records = [e.whichway for e in log.events if e.whichway is not None]
-    if not records:
+    cavity1 = log.column("cavity1_photons")
+    if cavity1.size == 0:
         return MetricValue(None, "no which-way records")
-    determined = 0
-    for r in records:
-        total = r.cavity1_photons + r.cavity2_photons
-        if total == 1 or (r.single_cavity_mode and total == 0):
-            determined += 1
-    return MetricValue(determined / len(records))
+    total = cavity1 + log.column("cavity2_photons")
+    determined = (total == 1) | (log.column("single_cavity_mode") & (total == 0))
+    return MetricValue(int(np.count_nonzero(determined)) / cavity1.size)
 
 
 def overlap_distinguishability(c: float) -> float:

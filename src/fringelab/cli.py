@@ -112,16 +112,16 @@ def _check_at_least(option: str, value: int, least: int) -> None:
 
 def _auto_field(log) -> str:
     for field in HISTOGRAM_FIELDS:
-        if _field_values(log, field):
+        if _field_values(log, field).size:
             return field
     raise ValueError("event log holds only port records; nothing to histogram")
 
 
 def _field_range(log, field: str) -> tuple[float, float]:
     values = _field_values(log, field)
-    if not values:
+    if values.size == 0:
         raise ValueError(f"event log has no {field} records")
-    lo, hi = min(values), max(values)
+    lo, hi = float(values.min()), float(values.max())
     if not lo < hi:
         raise ValueError("all recorded positions coincide; cannot bin")
     return lo, hi
@@ -182,10 +182,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_eraser(args: argparse.Namespace) -> int:
     _check_at_least("--bins", args.bins, 2)
     log = read_events_csv(args.events)
-    if not log.events:
+    experiments = log.column("experiment")
+    if experiments.size == 0:
         raise ValueError("event log is empty")
     joint = histogram(log, "screen_x", args.bins, _field_range(log, "screen_x"))
-    config = build_preset(log.events[0].experiment)
+    config = build_preset(experiments[0])
     centers = joint.bin_centers()
     profile1 = np.asarray(single_slit_intensity(config.geometry, config.beam, 1, centers))
     profile2 = np.asarray(single_slit_intensity(config.geometry, config.beam, 2, centers))

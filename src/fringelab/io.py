@@ -7,15 +7,14 @@ round-trips, and lines always end with a bare newline.
 
 from __future__ import annotations
 
-import math
+from itertools import repeat
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .analysis import FringeHistogram, FringeMetrics
-from .measurement import WhichWayRecord
-from .montecarlo import DetectionEvent, EventLog
+from .montecarlo import MZ_PORTS, DetectionEvent, EventColumns, EventLog, _int_array
 
 EVENTS_HEADER = "event_id,experiment,screen_x,mz_port,cavity1_photons,cavity2_photons,scatter_x,scatter_y,stream_id"
 HISTOGRAM_HEADER = "bin_lo,bin_hi,count"
@@ -52,61 +51,119 @@ def write_events_csv(log: EventLog, path: PathLike) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _finite(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell!r}")
-    return value
+#: Rows parsed per block: bounds the cell strings alive during a read.
+READ_BLOCK = 1024
+
+_PORT_CODES = {"": -1, **{port: code for code, port in enumerate(MZ_PORTS)}}
+_BAD_PORT = -2
+
+
+def _float_column(cells: list[str]) -> np.ndarray:
+    """Cells parsed with float(), NaN where a cell is empty; a present
+    value must be finite."""
+    present = list(filter(None, cells)) if "" in cells else cells
+    values = np.fromiter(map(float, present), dtype=float, count=len(present))
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"non-finite value {present[np.argmin(finite)]!r}")
+    if len(present) == len(cells):
+        return values
+    out = np.full(len(cells), np.nan)
+    if present:
+        out[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = values
+    return out
+
+
+def _cavity_column(cells: list[str], name: str) -> np.ndarray:
+    """Photon counts parsed with int(), once per distinct cell; -1 where
+    a cell is empty."""
+    counts = {cell: int(cell) for cell in set(cells) if cell}
+    for count in counts.values():
+        if count not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, got {count!r}")
+    counts[""] = -1
+    return np.fromiter(map(counts.__getitem__, cells), dtype=np.int8, count=len(cells))
+
+
+def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) -> tuple:
+    """Columns of consecutive events CSV rows whose first holds event id
+    first_id, in EventColumns field order.
+
+    Each check runs on whole columns and raises ValueError without a
+    location. experiments maps each distinct name met so far to the first
+    string that spelled it; new names join it.
+    """
+    n = len(rows)
+    # a "\n" cell, which no row can hold, follows each row: every row has
+    # 9 fields exactly when these markers sit at cells 9, 19, 29, ...
+    cells = ",\n,".join([*rows, ""]).split(",")[:-1]
+    if len(cells) != 10 * n or cells[9::10].count("\n") != n:
+        got = next(row.count(",") + 1 for row in rows if row.count(",") != 8)
+        raise ValueError(f"expected 9 fields, got {got}")
+    ids, names, screen_x, ports, cav1, cav2, scatter_x, scatter_y, streams = (cells[k::10] for k in range(9))
+    del cells
+    ids = list(map(int, ids))
+    if ids != list(range(first_id, first_id + n)):
+        position, got = next((p, i) for p, i in enumerate(ids, first_id) if p != i)
+        raise ValueError(f"event ids must be dense from 0; position {position} holds id {got}")
+    for name in dict.fromkeys(names):
+        experiments.setdefault(name, name)
+    experiment = np.fromiter(map(experiments.__getitem__, names), dtype=object, count=n)
+    screen_x = _float_column(screen_x)
+    mz_port = np.fromiter(map(_PORT_CODES.get, ports, repeat(_BAD_PORT)), dtype=np.int8, count=n)
+    if (mz_port == _BAD_PORT).any():
+        raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {ports[np.argmax(mz_port == _BAD_PORT)]!r}")
+    cavity1, cavity2 = _cavity_column(cav1, "cavity1_photons"), _cavity_column(cav2, "cavity2_photons")
+    if ((cavity1 < 0) != (cavity2 < 0)).any():
+        raise ValueError("cavity counts must both be present or both empty")
+    if (cavity1 + cavity2 > 1).any():
+        raise ValueError("at most one photon per particle")
+    scatter_x, scatter_y = _float_column(scatter_x), _float_column(scatter_y)
+    scattered = ~np.isnan(scatter_x)
+    if (scattered == np.isnan(scatter_y)).any():
+        raise ValueError("scatter cells must both be present or both empty")
+    populated = (~np.isnan(screen_x)).astype(np.int8) + (mz_port >= 0) + scattered
+    if (populated != 1).any():
+        raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
+    stream_ids = {cell: int(cell) for cell in set(streams)}
+    stream_id = _int_array(list(map(stream_ids.__getitem__, streams)))
+    return experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
 
 
 def read_events_csv(path: PathLike) -> EventLog:
-    """Parse an events CSV back into a log.
+    """Parse an events CSV into a column-backed log.
 
     The file does not carry the configuration digest, so the returned
     log's digest is empty. Which-way rows with zero total photons can
     only come from single-cavity tagging, so that mode flag is restored
-    from the counts themselves. Rows with the same cavity cells share
-    one (frozen) WhichWayRecord. A malformed row raises ValueError citing
-    path:line.
+    from the counts themselves. Rows are parsed READ_BLOCK at a time, cell
+    values with int() and float(); when a block fails a check, its rows
+    are parsed one by one to find the first bad one, and the ValueError
+    cites its path:line. Blank lines are skipped but counted.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != EVENTS_HEADER:
         raise ValueError(f"{path}: missing or unexpected events header")
-    events = []
-    records = {}  # one shared WhichWayRecord per pair of cavity cells
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
+    linenos = range(1, len(lines) + 1)
+    if "" in lines:
+        linenos = [lineno for lineno, line in zip(linenos, lines) if line]
+        lines = [line for line in lines if line]
+    experiments: dict[str, str] = {}
+    blocks = []
+    # an empty log still parses one (empty) block, for the column dtypes
+    for first in range(1, max(len(lines), 2), READ_BLOCK):
+        rows = lines[first:first + READ_BLOCK]
         try:
-            if len(parts) != 9:
-                raise ValueError(f"expected 9 fields, got {len(parts)}")
-            (event_id, experiment, screen_x, mz_port, cav1, cav2, scatter_x, scatter_y, stream_id) = parts
-            whichway = None
-            if cav1 or cav2:
-                whichway = records.get((cav1, cav2))
-                if whichway is None:
-                    if not (cav1 and cav2):
-                        raise ValueError("cavity counts must both be present or both empty")
-                    c1, c2 = int(cav1), int(cav2)
-                    whichway = WhichWayRecord(c1, c2, single_cavity_mode=(c1 + c2 == 0))
-                    records[(cav1, cav2)] = whichway
-            scatter_xy = None
-            if scatter_x or scatter_y:
-                scatter_xy = (_finite(scatter_x), _finite(scatter_y))
-            events.append(DetectionEvent(
-                event_id=int(event_id),
-                experiment=experiment,
-                screen_x=_finite(screen_x) if screen_x else None,
-                mz_port=mz_port if mz_port else None,
-                whichway=whichway,
-                scatter_xy=scatter_xy,
-                stream_id=int(stream_id),
-            ))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return EventLog(tuple(events))
+            blocks.append(_parse_block(rows, first - 1, experiments))
+        except ValueError:
+            for offset, row in enumerate(rows):
+                try:
+                    _parse_block([row], first - 1 + offset, experiments)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{linenos[first + offset]}: {exc}") from exc
+            raise
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return EventLog(columns=EventColumns(*columns))
 
 
 def write_histogram_csv(h: FringeHistogram, path: PathLike) -> None:

@@ -10,8 +10,8 @@ partitioned across streams and merged deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import FrozenInstanceError, dataclass
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,21 +97,167 @@ _set_scatter_xy = DetectionEvent.scatter_xy.__set__
 _set_stream_id = DetectionEvent.stream_id.__set__
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The generated frozen __setattr__ of a slots dataclass names the class
+# the decorator replaced, so assigning a name that is not a field raised
+# TypeError from super(); these raise FrozenInstanceError for any name.
+DetectionEvent.__setattr__ = _frozen_setattr
+DetectionEvent.__delattr__ = _frozen_delattr
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """Python ints as an int64 array, or an object array of the same ints
+    when one does not fit in 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class EventColumns(NamedTuple):
+    """An event log as one numpy array per field; entry i is event i.
+
+    The float columns hold NaN, and the port and cavity columns -1, where
+    an event does not carry the field; mz_port indexes MZ_PORTS, and
+    experiment holds one shared string per distinct name. A row with
+    cavity counts is a which-way record, in single-cavity mode when both
+    counts are 0 (only single-cavity tagging leaves none).
+    """
+
+    experiment: np.ndarray
+    screen_x: np.ndarray
+    mz_port: np.ndarray
+    cavity1_photons: np.ndarray
+    cavity2_photons: np.ndarray
+    scatter_x: np.ndarray
+    scatter_y: np.ndarray
+    stream_id: np.ndarray
+
+    def column(self, name: str) -> np.ndarray:
+        """The named field of every event that carries it, in log order."""
+        if name == "experiment":
+            return self.experiment
+        if name == "mz_port":
+            return np.array(MZ_PORTS, dtype=object)[self.mz_port[self.mz_port >= 0]]
+        if name == "single_cavity_mode":
+            c1, c2 = self.cavity1_photons, self.cavity2_photons
+            return (c1 + c2 == 0)[c1 >= 0]
+        values = getattr(self, name)
+        if name in ("cavity1_photons", "cavity2_photons"):
+            return values[values >= 0]
+        return values[~np.isnan(values)]
+
+    def records(self) -> tuple[DetectionEvent, ...]:
+        """The rows as DetectionEvents; rows with the same cavity counts
+        share one WhichWayRecord."""
+        from .measurement import WhichWayRecord  # measurement imports this module
+
+        ports = MZ_PORTS + (None,)  # port code -1 -> None
+        pairs = list(zip(self.cavity1_photons.tolist(), self.cavity2_photons.tolist()))
+        whichway = {
+            pair: WhichWayRecord(*pair, single_cavity_mode=sum(pair) == 0) if pair[0] >= 0 else None
+            for pair in set(pairs)
+        }
+        return tuple(map(
+            DetectionEvent,
+            range(self.experiment.size),
+            self.experiment.tolist(),
+            [None if x != x else x for x in self.screen_x.tolist()],
+            map(ports.__getitem__, self.mz_port.tolist()),
+            map(whichway.__getitem__, pairs),
+            [None if x != x else (x, y) for x, y in zip(self.scatter_x.tolist(), self.scatter_y.tolist())],
+            self.stream_id.tolist(),
+        ))
+
+
+#: Per field EventLog.column reads: the values of the records that carry
+#: it, each gathered by one list comprehension, and the column's dtype.
+_RECORD_FIELDS = {
+    "experiment": (lambda events: [e.experiment for e in events], object),
+    "screen_x": (lambda events: [e.screen_x for e in events if e.screen_x is not None], float),
+    "mz_port": (lambda events: [e.mz_port for e in events if e.mz_port is not None], object),
+    "cavity1_photons": (
+        lambda events: [e.whichway.cavity1_photons for e in events if e.whichway is not None], np.int8),
+    "cavity2_photons": (
+        lambda events: [e.whichway.cavity2_photons for e in events if e.whichway is not None], np.int8),
+    "single_cavity_mode": (
+        lambda events: [e.whichway.single_cavity_mode for e in events if e.whichway is not None], bool),
+    "scatter_x": (lambda events: [e.scatter_xy[0] for e in events if e.scatter_xy is not None], float),
+    "scatter_y": (lambda events: [e.scatter_xy[1] for e in events if e.scatter_xy is not None], float),
+}
+
+
 class EventLog:
-    """Ordered detection events plus the hash of the producing config."""
+    """Ordered detection events plus the hash of the producing config.
 
-    events: tuple[DetectionEvent, ...]
-    config_digest: str = ""
+    A log is backed by its records (run_experiment builds those) or by
+    EventColumns (read_events_csv builds those). Either way column()
+    reads one field without per-event objects, and events holds the
+    records; a column-backed log builds them on first access and keeps
+    them. Logs are immutable and compare equal when their events and
+    config digests are equal.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        for i, e in enumerate(self.events):
-            if e.event_id != i:
-                raise ValueError(f"event ids must be dense from 0; position {i} holds id {e.event_id}")
+    __slots__ = ("config_digest", "_events", "_columns")
+
+    def __init__(
+        self,
+        events: Optional[tuple[DetectionEvent, ...]] = None,
+        config_digest: str = "",
+        *,
+        columns: Optional[EventColumns] = None,
+    ) -> None:
+        if (events is None) == (columns is None):
+            raise ValueError("an event log is built from its events or from its columns")
+        if events is not None:
+            events = tuple(events)
+            for i, e in enumerate(events):
+                if e.event_id != i:
+                    raise ValueError(f"event ids must be dense from 0; position {i} holds id {e.event_id}")
+        object.__setattr__(self, "config_digest", config_digest)
+        object.__setattr__(self, "_events", events)
+        object.__setattr__(self, "_columns", columns)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    @property
+    def events(self) -> tuple[DetectionEvent, ...]:
+        if self._events is None:
+            object.__setattr__(self, "_events", self._columns.records())
+        return self._events
+
+    def column(self, name: str) -> np.ndarray:
+        """The named field of every event that carries it, in log order.
+
+        name is experiment, screen_x, mz_port, cavity1_photons,
+        cavity2_photons, single_cavity_mode, scatter_x or scatter_y. A
+        record-backed log pays one pass over its records.
+        """
+        if name not in _RECORD_FIELDS:
+            raise ValueError(f"unknown event field {name!r}; expected one of {tuple(_RECORD_FIELDS)}")
+        if self._columns is not None:
+            return self._columns.column(name)
+        values, dtype = _RECORD_FIELDS[name]
+        return np.array(values(self._events), dtype=dtype)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events) if self._columns is None else self._columns.experiment.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.config_digest == other.config_digest and self.events == other.events
+
+    def __hash__(self) -> int:
+        return hash((self.events, self.config_digest))
 
 
 def _checked_weights(weights) -> np.ndarray:

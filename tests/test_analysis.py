@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fringelab.analysis import (
+    _FIELD_COLUMNS,
+    HISTOGRAM_FIELDS,
     DualityResult,
     FringeHistogram,
     MetricValue,
@@ -21,6 +23,9 @@ from fringelab.analysis import (
     smooth3,
     visibility,
 )
+from fringelab.config import PRESET_NAMES, build_preset
+from fringelab.experiments import run_experiment
+from fringelab.io import read_events_csv, write_events_csv
 from fringelab.measurement import WhichWayRecord
 from fringelab.montecarlo import DetectionEvent, EventLog
 
@@ -244,3 +249,26 @@ def test_compute_metrics_bundles_and_skips_duality_when_flagged():
     assert isinstance(metrics.duality, DualityResult)
     assert metrics.duality.lhs == pytest.approx(0.25 + 1.0)
     assert metrics.duality.satisfied is False
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_column_and_record_logs_analyze_alike(tmp_path, preset):
+    records = run_experiment(build_preset(preset), 3000, seed=11)
+    path = tmp_path / "events.csv"
+    write_events_csv(records, path)
+    columns = read_events_csv(path)
+    assert distinguishability(columns) == distinguishability(records)
+    for field in HISTOGRAM_FIELDS:
+        if not records.column(_FIELD_COLUMNS[field]).size:
+            with pytest.raises(ValueError, match="no events with field"):
+                histogram(columns, field, 64, (-1.0, 1.0))
+            continue
+        values = records.column(_FIELD_COLUMNS[field])
+        value_range = (float(values.min()), float(values.max()))
+        h_records = histogram(records, field, 64, value_range)
+        h_columns = histogram(columns, field, 64, value_range)
+        assert h_columns.same_binning(h_records)
+        np.testing.assert_array_equal(h_columns.counts, h_records.counts)
+        assert h_columns.n_dropped == h_records.n_dropped
+        assert compute_metrics(h_columns, columns) == compute_metrics(h_records, records)
+    assert columns._events is None  # none of it built a record

@@ -5,6 +5,7 @@ import pytest
 from fringelab.cli import main
 from fringelab.config import build_preset, serialize_config
 from fringelab.io import EVENTS_HEADER, HISTOGRAM_HEADER, METRICS_HEADER, SWEEP_HEADER
+from fringelab.montecarlo import DetectionEvent
 
 
 def run(*argv):
@@ -222,3 +223,26 @@ def test_bad_count_is_a_config_error(tmp_path, capsys, command, option, bad):
     capsys.readouterr()
     assert run(command, *argv) == 2
     assert f"{option} must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["young_baseline", "eraser_modulation", "young_micromaser"])
+def test_analyze_and_eraser_build_no_event_records(tmp_path, capsys, monkeypatch, preset):
+    events = simulate(tmp_path, preset, 2000)
+    commands = [
+        ["analyze", "--events", events, "--out-hist", tmp_path / "h.csv",
+         "--out-metrics", tmp_path / "m.csv", "--pgm", tmp_path / "h.pgm"],
+        ["eraser", "--events", events, "--gamma", 0.5, "--out", tmp_path / "e.csv"],
+    ]
+    outputs = ("h.csv", "m.csv", "h.pgm", "e.csv")
+    capsys.readouterr()
+    for argv in commands:
+        assert run(*argv) == 0
+    expected = capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in outputs]
+
+    def no_records(self, *args, **kwargs):
+        raise AssertionError("a DetectionEvent was built")
+
+    monkeypatch.setattr(DetectionEvent, "__init__", no_records)
+    for argv in commands:
+        assert run(*argv) == 0
+    assert (capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in outputs]) == expected

@@ -1,7 +1,11 @@
 """File formats: events CSV round-trips, histogram/metrics CSV, PGM bytes."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fringelab.analysis import (
     DualityResult,
@@ -9,6 +13,7 @@ from fringelab.analysis import (
     FringeMetrics,
     MetricValue,
 )
+from fringelab.cli import main
 from fringelab.config import build_preset
 from fringelab.experiments import run_experiment
 from fringelab.io import (
@@ -167,3 +172,121 @@ def test_pgm_all_zero_counts(tmp_path):
     path = tmp_path / "hist.pgm"
     write_histogram_pgm(h, path)
     assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes(3)
+
+
+def test_reader_builds_no_records_until_asked(tmp_path):
+    path = tmp_path / "events.csv"
+    log = run_experiment(build_preset("young_micromaser"), 300, seed=2)
+    write_events_csv(log, path)
+    again = read_events_csv(path)
+    assert again._events is None
+    np.testing.assert_array_equal(again.column("screen_x"), log.column("screen_x"))
+    assert again._events is None
+    assert again.events == log.events
+    assert again.events is again.events  # built once, then kept
+
+
+def test_reader_keeps_one_string_per_distinct_cell(tmp_path):
+    path = tmp_path / "events.csv"
+    for preset in ("young_micromaser", "mz_weak_screen"):
+        write_events_csv(run_experiment(build_preset(preset), 3000, seed=5), path)
+        events = read_events_csv(path).events
+        assert len({id(e.experiment) for e in events}) == 1
+        assert len({id(e.mz_port) for e in events if e.mz_port is not None}) <= 2
+    path.write_text(EVENTS_HEADER + "\n" + "".join(
+        f"{i},{'ab'[i % 2]}{'c' * 3},0.5,,,,,,0\n" for i in range(3000)))
+    experiments = {}
+    for e in read_events_csv(path).events:
+        experiments.setdefault(e.experiment, set()).add(id(e.experiment))
+    assert {name: len(ids) for name, ids in experiments.items()} == {"accc": 1, "bccc": 1}
+
+
+_GOOD_ROWS = ("0,run,0.1,,,,,,0", "1,run,,y,,,,,2", "2,run,0.2,,0,1,,,0", "3,run,,,,,1e-06,2e-06,1")
+
+# (why, bad row with event id 4) pairs: each breaks one cell of a good row
+_BAD_ROWS = [
+    *[(f"{value} in {column}", row)
+      for value in ("abc", "nan", "inf")
+      for column, row in (("screen_x", f"4,run,{value},,,,,,0"),
+                          ("scatter_x", f"4,run,,,,,{value},2e-06,0"),
+                          ("scatter_y", f"4,run,,,,,1e-06,{value},0"))],
+    ("port z", "4,run,,z,,,,,0"),
+    ("half cavity pair", "4,run,0.1,,1,,,,0"),
+    ("other half cavity pair", "4,run,0.1,,,0,,,0"),
+    ("cavity count 2", "4,run,0.1,,2,0,,,0"),
+    ("two photons", "4,run,0.1,,1,1,,,0"),
+    ("half scatter pair", "4,run,,,,,1e-06,,0"),
+    ("other half scatter pair", "4,run,,,,,,2e-06,0"),
+    ("8 fields", "4,run,0.1,,,,,0"),
+    ("10 fields", "4,run,0.1,,,,,,0,"),
+    ("two terminal fields", "4,run,0.1,x,,,,,0"),
+    ("no terminal field", "4,run,,,,,,,0"),
+    ("id gap", "5,run,0.1,,,,,,0"),
+    ("repeated id", "3,run,0.1,,,,,,0"),
+    ("non-int id", "4.0,run,0.1,,,,,,0"),
+    ("non-int stream", "4,run,0.1,,,,,,s"),
+    ("float stream", "4,run,0.1,,,,,,1.5"),
+]
+
+
+@pytest.mark.parametrize("block", [1024, 2])
+@pytest.mark.parametrize("why,row", _BAD_ROWS, ids=[why for why, _ in _BAD_ROWS])
+def test_analyze_names_the_line_of_a_corrupt_cell(tmp_path, capsys, monkeypatch, why, row, block):
+    monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
+    path = tmp_path / "bad.csv"
+    # header, two good rows, a blank line, two good rows: the bad row is line 7
+    lines = [EVENTS_HEADER, *_GOOD_ROWS[:2], "", *_GOOD_ROWS[2:], row, "5,run,0.3,,,,,,0"]
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["analyze", "--events", str(path),
+                 "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
+    assert code == 3
+    assert f"{path}:7: " in capsys.readouterr().err
+
+
+def test_rows_that_split_into_whole_rows_of_cells_are_rejected(tmp_path):
+    # 11 + 7 cells would read as two good rows if the cells were only counted
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{EVENTS_HEADER}\n0,run,0.1,,,,,,0,run,1\n0.2,,,,,,0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected 9 fields, got 11$"):
+        read_events_csv(path)
+
+
+def test_id_gap_error_cites_path_and_line(tmp_path, capsys):
+    path = tmp_path / "gap.csv"
+    path.write_text(f"{EVENTS_HEADER}\n0,run,0.1,,,,,,0\n2,run,0.2,,,,,,0\n")
+    code = main(["analyze", "--events", str(path),
+                 "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
+    assert code == 3
+    assert f"{path}:3: event ids must be dense from 0; position 1 holds id 2" in capsys.readouterr().err
+
+
+def test_reader_takes_cells_as_int_and_float_read_them(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text(f"{EVENTS_HEADER}\n00,run, 1e-3 ,,+1,0,,,07\n1,run,,x,,,,,{2**64 - 1}\n")
+    events = read_events_csv(path).events
+    assert events[0] == DetectionEvent(0, "run", screen_x=0.001, whichway=WhichWayRecord(1, 0), stream_id=7)
+    assert events[1] == DetectionEvent(1, "run", mz_port="x", stream_id=2**64 - 1)
+
+
+_NAMES = st.text(alphabet=st.characters(exclude_characters=",",
+                                       exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_RECORDS = st.sampled_from([None, WhichWayRecord(1, 0), WhichWayRecord(0, 1),
+                            WhichWayRecord(0, 0, single_cavity_mode=True),
+                            WhichWayRecord(1, 0, single_cavity_mode=True)])
+_EVENTS = st.one_of(
+    st.builds(lambda x, ww: {"screen_x": x, "whichway": ww}, _FLOATS, _RECORDS),
+    st.builds(lambda p, ww: {"mz_port": p, "whichway": ww}, st.sampled_from(("x", "y")), _RECORDS),
+    st.builds(lambda x, y, ww: {"scatter_xy": (x, y), "whichway": ww}, _FLOATS, _FLOATS, _RECORDS),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(_NAMES, _EVENTS, st.integers(-2**70, 2**70)), max_size=40))
+def test_write_read_write_is_byte_identical(tmp_path, rows):
+    log = EventLog(tuple(DetectionEvent(i, name, stream_id=stream, **fields)
+                         for i, (name, fields, stream) in enumerate(rows)))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_events_csv(log, first)
+    write_events_csv(read_events_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fringelab.config import build_preset
+from fringelab.config import PRESET_NAMES, build_preset
 from fringelab.experiments import run_experiment
 from fringelab.io import read_events_csv, write_events_csv
 from fringelab.measurement import WhichWayRecord
@@ -113,6 +113,53 @@ def test_shared_whichway_records_equal_fresh_ones(tmp_path, preset):
             fresh = WhichWayRecord(record.cavity1_photons, record.cavity2_photons, record.single_cavity_mode)
             assert record == fresh
             assert hash(record) == hash(fresh)
+
+
+def test_event_rejects_any_attribute_assignment():
+    event = DetectionEvent(0, "run", screen_x=0.5)
+    for name in ("extra", "screen_x"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
+            setattr(event, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field {name!r}$"):
+            delattr(event, name)
+    assert event == DetectionEvent(0, "run", screen_x=0.5)
+
+
+_COLUMNS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_photons",
+            "single_cavity_mode", "scatter_x", "scatter_y")
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_record_and_column_logs_give_equal_columns(tmp_path, preset):
+    records = run_experiment(build_preset(preset), 600, seed=3, n_streams=2)
+    path = tmp_path / "events.csv"
+    write_events_csv(records, path)
+    columns = read_events_csv(path)
+    assert len(columns) == len(records)
+    for name in _COLUMNS:
+        a, b = columns.column(name), records.column(name)
+        assert a.dtype == b.dtype, name
+        if name == "single_cavity_mode":
+            # the file keeps the flag only where it matters: no photon in either cavity
+            empty = columns.column("cavity1_photons") + columns.column("cavity2_photons") == 0
+            a, b = a[empty], b[empty]
+        assert a.tolist() == b.tolist(), name
+    assert [e.stream_id for e in columns.events] == [e.stream_id for e in records.events]
+    with pytest.raises(ValueError, match="unknown event field"):
+        columns.column("whichway")
+
+
+def test_event_log_is_immutable_and_built_from_one_source():
+    log = EventLog((DetectionEvent(0, "run", screen_x=0.0),), "digest")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.config_digest = ""
+    with pytest.raises(AttributeError):
+        log.events = ()
+    assert log == EventLog((DetectionEvent(0, "run", screen_x=0.0),), "digest")
+    assert log != EventLog((DetectionEvent(0, "run", screen_x=0.0),))
+    assert hash(log) == hash(EventLog((DetectionEvent(0, "run", screen_x=0.0),), "digest"))
+    with pytest.raises(ValueError):
+        EventLog()
 
 
 def test_event_log_requires_dense_ids():
