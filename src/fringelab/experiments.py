@@ -15,10 +15,12 @@ Per-event uniforms by scenario family:
   (port) when transmitted; absorbed particles end after one draw and
   leave no record, so those runs can log fewer events than particles.
 
-Weak-screen runs read their uniforms ahead in blocks and then walk the
-variable strides (3, 2 or 1 uniforms per particle) through the block,
-so their output equals the per-particle loop over weak_screen_interact
-and a port draw; only the stream's position after the run differs.
+Generators emit a stream's events as numpy columns, and run_experiment
+builds the records from the joined columns in one bulk pass. Weak-screen
+runs read their uniforms ahead in blocks and then walk the variable
+strides (3, 2 or 1 uniforms per particle) through the block, so their
+output equals the per-particle loop over weak_screen_interact and a
+port draw; only the stream's position after the run differs.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import numpy as np
 
 from .composite import CompositeState, noise_averaged_pattern, overlap_pair, two_slit_composite
 from .config import CAVITY_SCENARIOS, MZ_SCENARIOS, ExperimentConfig, config_digest
-from .measurement import WhichWayRecord, measured_signal, midline_profile
+from .measurement import measured_signal, midline_profile
 from .montecarlo import (
-    DetectionEvent,
+    EventColumns,
     EventLog,
     RngStream,
     _checked_weights,
@@ -105,15 +107,23 @@ def _screen_grid(config: ExperimentConfig) -> np.ndarray:
     return sampling_grid(grid.x_min, grid.x_max, SAMPLING_CELLS)
 
 
-def _append_screen_events(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:
+def _stream_columns(config: ExperimentConfig, stream_id: int, n: int, *, screen_x=None, mz_port=None,
+                    cavity=None, scatter_xy=None) -> tuple:
+    """One stream's n events in EventColumns field order; a field left
+    None is empty in every row, and every row shares the scenario name."""
+    empty, none = np.full(n, np.nan), np.full(n, -1, dtype=np.int8)
+    return (np.repeat(np.array([config.scenario], dtype=object), n), empty if screen_x is None else screen_x,
+            none if mz_port is None else mz_port, *(cavity or (none, none)), *(scatter_xy or (empty, empty)),
+            np.full(n, stream_id, dtype=np.int64))
+
+
+def _screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
     grid = _screen_grid(config)
-    profile = pattern_profile(config, grid)
-    name = config.scenario
-    for x in sample_positions(grid, profile, rng, n).tolist():
-        events.append(DetectionEvent(len(events), name, screen_x=x, stream_id=stream_id))
+    xs = sample_positions(grid, pattern_profile(config, grid), rng, n)
+    return _stream_columns(config, stream_id, n, screen_x=xs)
 
 
-def _append_tagged_events(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:
+def _tagged_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
     """Cavity scenarios: a slit tag, then a position conditioned per the
     pattern convention.
 
@@ -143,15 +153,9 @@ def _append_tagged_events(events: list, config: ExperimentConfig, n: int, rng, s
         _inverse_cdf(grid, cdf1, draws[:, 1], draws[:, 2]),
         _inverse_cdf(grid, cdf2, draws[:, 1], draws[:, 2]),
     )
-    if config.single_cavity:
-        record1 = WhichWayRecord(1, 0, single_cavity_mode=True)
-        record2 = WhichWayRecord(0, 0, single_cavity_mode=True)
-    else:
-        record1, record2 = WhichWayRecord(1, 0), WhichWayRecord(0, 1)
-    name = config.scenario
-    for x, tag1 in zip(xs.tolist(), through1.tolist()):
-        record = record1 if tag1 else record2
-        events.append(DetectionEvent(len(events), name, screen_x=x, whichway=record, stream_id=stream_id))
+    cavity1 = through1.astype(np.int8)  # a slit-2 photon has no cavity in single-cavity runs
+    cavity2 = np.zeros(n, dtype=np.int8) if config.single_cavity else 1 - cavity1
+    return _stream_columns(config, stream_id, n, screen_x=xs, cavity=(cavity1, cavity2))
 
 
 def _port_x_fraction(config: ExperimentConfig) -> float:
@@ -160,15 +164,13 @@ def _port_x_fraction(config: ExperimentConfig) -> float:
     return ix / (ix + iy)
 
 
-def _append_port_events(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:
-    px = _port_x_fraction(config)
-    name = config.scenario
-    for u in rng.random(n).tolist():
-        port = "x" if u < px else "y"
-        events.append(DetectionEvent(len(events), name, mz_port=port, stream_id=stream_id))
+def _port_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
+    # port code 0 is "x", drawn when the uniform falls below its fraction
+    ports = (rng.random(n) >= _port_x_fraction(config)).astype(np.int8)
+    return _stream_columns(config, stream_id, n, mz_port=ports)
 
 
-def _append_weak_screen_events(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:
+def _weak_screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
     """Vectorized loop of weak_screen_interact plus a port draw when
     transmitted.
 
@@ -183,15 +185,13 @@ def _append_weak_screen_events(events: list, config: ExperimentConfig, n: int, r
     positions, weights = midline_profile(mz, beam, SAMPLING_CELLS)
     cdf = np.cumsum(_checked_weights(weights))
     px = _port_x_fraction(config)
-    y = mz.crossing_region.midline_y
-    scatter_below = screen.scatter_fraction
     transmit_below = screen.scatter_fraction + screen.transmittance
-    name = config.scenario
     carried = np.empty(0)
+    blocks = []
     for first in range(0, n, WEAK_SCREEN_BLOCK):
         block = min(WEAK_SCREEN_BLOCK, n - first)
         u = np.concatenate((carried, rng.random(max(3 * block - carried.size, 0))))
-        strides = np.where(u < scatter_below, 3, np.where(u < transmit_below, 2, 1))
+        strides = np.where(u < screen.scatter_fraction, 3, np.where(u < transmit_below, 2, 1))
         step = strides.tolist()
         starts = []
         s = 0
@@ -200,27 +200,25 @@ def _append_weak_screen_events(events: list, config: ExperimentConfig, n: int, r
             s += step[s]
         carried = u[s:]
         starts = np.array(starts)
+        starts = starts[strides[starts] > 1]  # absorbed particles leave no record
         kinds = strides[starts]
-        scattered = starts[kinds == 3]
-        xs = iter(_inverse_cdf(positions, cdf, u[scattered + 1], u[scattered + 2]).tolist())
-        to_x = iter((u[starts[kinds == 2] + 1] < px).tolist())
-        for kind in kinds.tolist():
-            if kind == 3:
-                events.append(DetectionEvent(len(events), name, scatter_xy=(next(xs), y), stream_id=stream_id))
-            elif kind == 2:
-                port = "x" if next(to_x) else "y"
-                events.append(DetectionEvent(len(events), name, mz_port=port, stream_id=stream_id))
+        scattered = kinds == 3
+        x = np.full(kinds.size, np.nan)
+        x[scattered] = _inverse_cdf(positions, cdf, u[starts[scattered] + 1], u[starts[scattered] + 2])
+        blocks.append((np.where(kinds == 2, u[starts + 1] >= px, -1).astype(np.int8), x))
+    ports, scatter_x = map(np.concatenate, zip(*blocks))
+    scatter_y = np.where(np.isnan(scatter_x), np.nan, mz.crossing_region.midline_y)
+    return _stream_columns(config, stream_id, ports.size, mz_port=ports, scatter_xy=(scatter_x, scatter_y))
 
 
-def _generate(events: list, config: ExperimentConfig, n: int, rng, stream_id: int) -> None:
+def _generate(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
     if config.scenario == "mz_weak_screen":
-        _append_weak_screen_events(events, config, n, rng, stream_id)
-    elif config.scenario in MZ_SCENARIOS:
-        _append_port_events(events, config, n, rng, stream_id)
-    elif config.scenario in CAVITY_SCENARIOS:
-        _append_tagged_events(events, config, n, rng, stream_id)
-    else:
-        _append_screen_events(events, config, n, rng, stream_id)
+        return _weak_screen_columns(config, n, rng, stream_id)
+    if config.scenario in MZ_SCENARIOS:
+        return _port_columns(config, n, rng, stream_id)
+    if config.scenario in CAVITY_SCENARIOS:
+        return _tagged_columns(config, n, rng, stream_id)
+    return _screen_columns(config, n, rng, stream_id)
 
 
 def run_experiment(config: ExperimentConfig, n_events: int, seed: int, n_streams: int = 1) -> EventLog:
@@ -231,18 +229,19 @@ def run_experiment(config: ExperimentConfig, n_events: int, seed: int, n_streams
     in stream order, and event ids are assigned densely across the
     merged log. n_events counts particles sent in; only the weak-screen
     scenario can absorb a particle without a record, every other
-    scenario logs exactly one event per particle.
+    scenario logs exactly one event per particle. The log holds the
+    columns and the records built from them.
     """
     if n_events < 1:
         raise ValueError(f"n_events must be at least 1, got {n_events}")
     if n_streams < 1:
         raise ValueError(f"n_streams must be at least 1, got {n_streams}")
     base, remainder = divmod(n_events, n_streams)
-    events: list[DetectionEvent] = []
-    for stream_id in range(n_streams):
-        chunk = base + (1 if stream_id < remainder else 0)
-        if chunk == 0:
-            continue
-        rng = RngStream(seed, stream_id).generator()
-        _generate(events, config, chunk, rng, stream_id)
-    return EventLog(tuple(events), config_digest(config))
+    streams = (  # a stream with no particle adds nothing; lazy, so each stream's columns go once joined
+        _generate(config, base + (1 if s < remainder else 0), RngStream(seed, s).generator(), s)
+        for s in range(min(n_streams, n_events))
+    )
+    columns = EventColumns(*map(np.concatenate, zip(*streams)), single_cavity=config.single_cavity)
+    log = EventLog(columns=columns, config_digest=config_digest(config))
+    log.events  # builds the records here; goes once the benchmark reads log.column("mz_port")
+    return log

@@ -139,9 +139,13 @@ def read_events_csv(path: PathLike) -> EventLog:
     from the counts themselves. Rows are parsed READ_BLOCK at a time, cell
     values with int() and float(); when a block fails a check, its rows
     are parsed one by one to find the first bad one, and the ValueError
-    cites its path:line. Blank lines are skipped but counted.
+    cites its path:line, as does a non-UTF-8 byte. Blank lines are skipped
+    but counted.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # the whole file is decoded at once, so exc.object holds it all
+        raise ValueError(f"{path}:{len((exc.object[:exc.start].decode() + '?').splitlines())}: {exc}") from exc
     if not lines or lines[0] != EVENTS_HEADER:
         raise ValueError(f"{path}: missing or unexpected events header")
     linenos = range(1, len(lines) + 1)

@@ -10,7 +10,10 @@ partitioned across streams and merged deterministically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -60,16 +63,9 @@ class DetectionEvent:
     scatter_xy: Optional[tuple[float, float]] = None
     stream_id: int = 0
 
-    def __init__(
-        self,
-        event_id: int,
-        experiment: str,
-        screen_x: Optional[float] = None,
-        mz_port: Optional[str] = None,
-        whichway: Optional["WhichWayRecord"] = None,
-        scatter_xy: Optional[tuple[float, float]] = None,
-        stream_id: int = 0,
-    ) -> None:
+    def __init__(self, event_id: int, experiment: str, screen_x: Optional[float] = None,
+                 mz_port: Optional[str] = None, whichway: Optional["WhichWayRecord"] = None,
+                 scatter_xy: Optional[tuple[float, float]] = None, stream_id: int = 0) -> None:
         if event_id < 0:
             raise ValueError("event_id must be nonnegative")
         populated = (screen_x is not None) + (mz_port is not None) + (scatter_xy is not None)
@@ -127,8 +123,8 @@ class EventColumns(NamedTuple):
     The float columns hold NaN, and the port and cavity columns -1, where
     an event does not carry the field; mz_port indexes MZ_PORTS, and
     experiment holds one shared string per distinct name. A row with
-    cavity counts is a which-way record, in single-cavity mode when both
-    counts are 0 (only single-cavity tagging leaves none).
+    cavity counts is a which-way record, in single-cavity mode when
+    single_cavity is set (a single-cavity run) or both counts are 0.
     """
 
     experiment: np.ndarray
@@ -139,6 +135,7 @@ class EventColumns(NamedTuple):
     scatter_x: np.ndarray
     scatter_y: np.ndarray
     stream_id: np.ndarray
+    single_cavity: bool = False
 
     def column(self, name: str) -> np.ndarray:
         """The named field of every event that carries it, in log order."""
@@ -148,72 +145,76 @@ class EventColumns(NamedTuple):
             return np.array(MZ_PORTS, dtype=object)[self.mz_port[self.mz_port >= 0]]
         if name == "single_cavity_mode":
             c1, c2 = self.cavity1_photons, self.cavity2_photons
-            return (c1 + c2 == 0)[c1 >= 0]
+            return ((c1 + c2 == 0) | self.single_cavity)[c1 >= 0]
         values = getattr(self, name)
         if name in ("cavity1_photons", "cavity2_photons"):
             return values[values >= 0]
         return values[~np.isnan(values)]
 
     def records(self) -> tuple[DetectionEvent, ...]:
-        """The rows as DetectionEvents; rows with the same cavity counts
-        share one WhichWayRecord."""
+        """The rows as DetectionEvents, one field at a time: the checks of
+        DetectionEvent() run once per column with its messages, ids are the
+        row numbers, and equal cavity counts share one WhichWayRecord."""
         from .measurement import WhichWayRecord  # measurement imports this module
 
-        ports = MZ_PORTS + (None,)  # port code -1 -> None
-        pairs = list(zip(self.cavity1_photons.tolist(), self.cavity2_photons.tolist()))
-        whichway = {
-            pair: WhichWayRecord(*pair, single_cavity_mode=sum(pair) == 0) if pair[0] >= 0 else None
-            for pair in set(pairs)
-        }
-        return tuple(map(
-            DetectionEvent,
-            range(self.experiment.size),
-            self.experiment.tolist(),
-            [None if x != x else x for x in self.screen_x.tolist()],
-            map(ports.__getitem__, self.mz_port.tolist()),
-            map(whichway.__getitem__, pairs),
-            [None if x != x else (x, y) for x, y in zip(self.scatter_x.tolist(), self.scatter_y.tolist())],
-            self.stream_id.tolist(),
-        ))
+        n, port, c1, none = self.experiment.size, self.mz_port, self.cavity1_photons, repeat(None)
+        screen, scattered = ~np.isnan(self.screen_x), ~np.isnan(self.scatter_x)
+        populated = screen.astype(np.int8) + (port >= 0) + scattered
+        if (populated != 1).any():
+            raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
+        bad = (port < -1) | (port >= len(MZ_PORTS))
+        if bad.any():
+            raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {port[np.argmax(bad)]}")
+        whichway = none
+        if (c1 >= 0).any():
+            pairs = list(zip(c1.tolist(), self.cavity2_photons.tolist()))
+            shared = {pair: WhichWayRecord(*pair, single_cavity_mode=self.single_cavity or sum(pair) == 0)
+                      if pair[0] >= 0 else None for pair in set(pairs)}
+            whichway = map(shared.__getitem__, pairs)
+        events = list(map(object.__new__, repeat(DetectionEvent, n)))
+        for set_field, values in (
+            (_set_event_id, range(n)),
+            (_set_experiment, self.experiment.tolist()),
+            (_set_screen_x, none if not screen.any() else self.screen_x.tolist() if screen.all()
+             else [None if x != x else x for x in self.screen_x.tolist()]),
+            (_set_mz_port, map((MZ_PORTS + (None,)).__getitem__, port.tolist()) if (port >= 0).any() else none),
+            (_set_whichway, whichway),
+            (_set_scatter_xy, none if not scattered.any() else [
+                None if x != x else (x, y) for x, y in zip(self.scatter_x.tolist(), self.scatter_y.tolist())]),
+            (_set_stream_id, self.stream_id.tolist()),
+        ):
+            deque(map(set_field, events, values), maxlen=0)
+        return tuple(events)
 
 
-#: Per field EventLog.column reads: the values of the records that carry
-#: it, each gathered by one list comprehension, and the column's dtype.
+#: Per field EventLog.column reads from records: the record attribute
+#: that is None on events without the field, the value, and the dtype.
 _RECORD_FIELDS = {
-    "experiment": (lambda events: [e.experiment for e in events], object),
-    "screen_x": (lambda events: [e.screen_x for e in events if e.screen_x is not None], float),
-    "mz_port": (lambda events: [e.mz_port for e in events if e.mz_port is not None], object),
-    "cavity1_photons": (
-        lambda events: [e.whichway.cavity1_photons for e in events if e.whichway is not None], np.int8),
-    "cavity2_photons": (
-        lambda events: [e.whichway.cavity2_photons for e in events if e.whichway is not None], np.int8),
-    "single_cavity_mode": (
-        lambda events: [e.whichway.single_cavity_mode for e in events if e.whichway is not None], bool),
-    "scatter_x": (lambda events: [e.scatter_xy[0] for e in events if e.scatter_xy is not None], float),
-    "scatter_y": (lambda events: [e.scatter_xy[1] for e in events if e.scatter_xy is not None], float),
+    "experiment": ("event_id", attrgetter("experiment"), object),  # every event carries it
+    "screen_x": ("screen_x", attrgetter("screen_x"), float),
+    "mz_port": ("mz_port", attrgetter("mz_port"), object),
+    **{name: ("whichway", attrgetter(f"whichway.{name}"), dtype) for name, dtype in (
+        ("cavity1_photons", np.int8), ("cavity2_photons", np.int8), ("single_cavity_mode", bool))},
+    "scatter_x": ("scatter_xy", lambda e: e.scatter_xy[0], float),
+    "scatter_y": ("scatter_xy", lambda e: e.scatter_xy[1], float),
 }
 
 
 class EventLog:
     """Ordered detection events plus the hash of the producing config.
 
-    A log is backed by its records (run_experiment builds those) or by
-    EventColumns (read_events_csv builds those). Either way column()
-    reads one field without per-event objects, and events holds the
-    records; a column-backed log builds them on first access and keeps
-    them. Logs are immutable and compare equal when their events and
-    config digests are equal.
+    A log is backed by its records or by EventColumns (run_experiment
+    and read_events_csv build those). Either way column() reads one
+    field without per-event objects, and events holds the records; a
+    column-backed log builds them on first access and keeps them. Logs
+    are immutable and compare equal when their events and config
+    digests are equal.
     """
 
     __slots__ = ("config_digest", "_events", "_columns")
 
-    def __init__(
-        self,
-        events: Optional[tuple[DetectionEvent, ...]] = None,
-        config_digest: str = "",
-        *,
-        columns: Optional[EventColumns] = None,
-    ) -> None:
+    def __init__(self, events: Optional[tuple[DetectionEvent, ...]] = None, config_digest: str = "", *,
+                 columns: Optional[EventColumns] = None) -> None:
         if (events is None) == (columns is None):
             raise ValueError("an event log is built from its events or from its columns")
         if events is not None:
@@ -245,8 +246,8 @@ class EventLog:
             raise ValueError(f"unknown event field {name!r}; expected one of {tuple(_RECORD_FIELDS)}")
         if self._columns is not None:
             return self._columns.column(name)
-        values, dtype = _RECORD_FIELDS[name]
-        return np.array(values(self._events), dtype=dtype)
+        carrier, value, dtype = _RECORD_FIELDS[name]
+        return np.array([value(e) for e in self._events if getattr(e, carrier) is not None], dtype=dtype)
 
     def __len__(self) -> int:
         return len(self._events) if self._columns is None else self._columns.experiment.size
@@ -273,12 +274,6 @@ def _checked_weights(weights) -> np.ndarray:
     return weights
 
 
-def _cell_width(positions: np.ndarray) -> float:
-    if positions.size < 2:
-        return 0.0
-    return float(positions[1] - positions[0])
-
-
 def _inverse_cdf(positions: np.ndarray, cdf: np.ndarray, cell_u, jitter_u):
     """Inverse-CDF sampling core shared by every screen draw.
 
@@ -288,7 +283,8 @@ def _inverse_cdf(positions: np.ndarray, cdf: np.ndarray, cell_u, jitter_u):
     equal-shape arrays of uniforms in [0, 1) are accepted.
     """
     idx = np.minimum(np.searchsorted(cdf, cell_u * cdf[-1], side="right"), positions.size - 1)
-    return positions[idx] + (jitter_u - 0.5) * _cell_width(positions)
+    width = float(positions[1] - positions[0]) if positions.size > 1 else 0.0
+    return positions[idx] + (jitter_u - 0.5) * width
 
 
 def sample_position(positions, weights, rng: np.random.Generator) -> float:

@@ -5,7 +5,7 @@ import pytest
 from fringelab.cli import main
 from fringelab.config import build_preset, serialize_config
 from fringelab.io import EVENTS_HEADER, HISTOGRAM_HEADER, METRICS_HEADER, SWEEP_HEADER
-from fringelab.montecarlo import DetectionEvent
+from fringelab.montecarlo import DetectionEvent, EventColumns
 
 
 def run(*argv):
@@ -242,7 +242,9 @@ def test_analyze_and_eraser_build_no_event_records(tmp_path, capsys, monkeypatch
     def no_records(self, *args, **kwargs):
         raise AssertionError("a DetectionEvent was built")
 
+    # records come one at a time from __init__ or in bulk from EventColumns.records
     monkeypatch.setattr(DetectionEvent, "__init__", no_records)
+    monkeypatch.setattr(EventColumns, "records", no_records)
     for argv in commands:
         assert run(*argv) == 0
     assert (capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in outputs]) == expected

@@ -1,5 +1,6 @@
 """File formats: events CSV round-trips, histogram/metrics CSV, PGM bytes."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from fringelab.config import build_preset
 from fringelab.experiments import run_experiment
 from fringelab.io import (
     EVENTS_HEADER,
+    _event_row,
     HISTOGRAM_HEADER,
     METRICS_HEADER,
     read_events_csv,
@@ -290,3 +292,53 @@ def test_write_read_write_is_byte_identical(tmp_path, rows):
     write_events_csv(log, first)
     write_events_csv(read_events_csv(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("lines,lineno", [
+    ([EVENTS_HEADER, "0,run,0.1,,,,,,0", b"1,r\xffn,0.2,,,,,,0"], 3),
+    # blank lines count, and a CRLF file numbers its lines as an LF file
+    ([EVENTS_HEADER, "0,run,0.1,,,,,,0\r", "", b"1,run,0.2,,,,,,0\r", b"2,\xe2\x82,0.3,,,,,,0"], 5),
+    # far past the first read chunk
+    ([EVENTS_HEADER, *(f"{i},run,0.1,,,,,,0" for i in range(3000)), b"3000,run,0.1,,,,,,\x800"], 3002),
+])
+def test_analyze_cites_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, lines, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines) + b"\n")
+    code = main(["analyze", "--events", str(path),
+                 "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
+    assert code == 3
+    assert f"{path}:{lineno}: 'utf-8' codec can't decode byte" in capsys.readouterr().err
+
+
+def _valid_log_bytes() -> bytes:
+    events = run_experiment(build_preset("young_micromaser"), 12, seed=3).events
+    scattered = run_experiment(build_preset("mz_weak_screen"), 400, seed=3).events
+    scattered = [e for e in scattered if e.scatter_xy is not None][:2] + [e for e in scattered if e.mz_port][:2]
+    mixed = events + tuple(dataclasses.replace(e, event_id=len(events) + i) for i, e in enumerate(scattered))
+    return f"{EVENTS_HEADER}\n{''.join(_event_row(e) + chr(10) for e in mixed)}".encode()
+
+
+_VALID_LOG = _valid_log_bytes()
+_FLIPS = st.lists(st.tuples(st.integers(0, len(_VALID_LOG) - 1), st.integers(0, 255)), min_size=1, max_size=4)
+
+
+def _flipped(flips) -> bytes:
+    data = bytearray(_VALID_LOG)
+    for position, value in flips:
+        data[position] = value
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    st.binary(max_size=300),
+    st.binary(max_size=300).map(lambda tail: EVENTS_HEADER.encode() + b"\n" + tail),
+    _FLIPS.map(_flipped),
+))
+def test_analyze_on_arbitrary_bytes_exits_0_or_3(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    code = main(["analyze", "--events", str(path),
+                 "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
+    assert code in (0, 3)
+    capsys.readouterr()

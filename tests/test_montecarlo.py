@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fringelab.config import PRESET_NAMES, build_preset
+from fringelab.config import PRESET_NAMES, build_preset, parse_config
 from fringelab.experiments import run_experiment
 from fringelab.io import read_events_csv, write_events_csv
 from fringelab.measurement import WhichWayRecord
 from fringelab.montecarlo import (
+    MZ_PORTS,
     DetectionEvent,
+    EventColumns,
     EventLog,
     RngStream,
     sample_position,
@@ -147,6 +149,78 @@ def test_record_and_column_logs_give_equal_columns(tmp_path, preset):
     assert [e.stream_id for e in columns.events] == [e.stream_id for e in records.events]
     with pytest.raises(ValueError, match="unknown event field"):
         columns.column("whichway")
+
+
+def one_by_one(columns):
+    """The records of columns, each built by DetectionEvent(); rows with
+    the same cavity counts share the first WhichWayRecord made for them."""
+    shared = {}
+    events = []
+    for i, (name, x, port, c1, c2, sx, sy, stream) in enumerate(zip(*(c.tolist() for c in columns[:8]))):
+        whichway = None
+        if c1 >= 0:
+            single = columns.single_cavity or c1 + c2 == 0
+            whichway = shared.setdefault((c1, c2), WhichWayRecord(c1, c2, single_cavity_mode=single))
+        events.append(DetectionEvent(
+            i, name, screen_x=None if x != x else x, mz_port=None if port < 0 else MZ_PORTS[port],
+            whichway=whichway, scatter_xy=None if sx != sx else (sx, sy), stream_id=stream,
+        ))
+    return tuple(events)
+
+
+_ABSORBING = "scenario = mz_weak_screen\nweak_screen.transmittance = 0.5\nweak_screen.scatter_fraction = 0.1\n"
+
+
+@pytest.mark.parametrize("n_streams", [1, 3])
+@pytest.mark.parametrize("preset", [*PRESET_NAMES, "absorbing_weak_screen"])
+def test_bulk_built_records_equal_one_by_one_records(preset, n_streams):
+    config = parse_config(_ABSORBING) if preset == "absorbing_weak_screen" else build_preset(preset)
+    log = run_experiment(config, 900, seed=21, n_streams=n_streams)
+    assert log._columns is not None and log._events is not None  # both kept
+    expected = one_by_one(log._columns)
+    assert log.events == expected
+    assert [hash(e) for e in log.events] == [hash(e) for e in expected]
+    assert [repr(e) for e in log.events] == [repr(e) for e in expected]
+    # one shared WhichWayRecord per cavity pair, placed as the rebuild places them
+    ids, expected_ids = {}, {}
+    for got, want in zip(log.events, expected):
+        assert ids.setdefault(id(got.whichway), id(want.whichway)) == id(want.whichway)
+        assert expected_ids.setdefault(id(want.whichway), id(got.whichway)) == id(got.whichway)
+    assert len(ids) == len({(c1, c2) for c1, c2 in zip(*(c.tolist() for c in log._columns[3:5]))})
+    for event in log.events[:3] + log.events[-3:]:
+        for f in dataclasses.fields(DetectionEvent):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, f.name, getattr(event, f.name))
+    if config.single_cavity:
+        assert all(e.whichway.single_cavity_mode for e in log.events)
+
+
+def columns_of(screen_x=np.nan, mz_port=-1, scatter_xy=(np.nan, np.nan)):
+    """One-row EventColumns with the given terminal cells."""
+    return EventColumns(
+        np.array(["run"], dtype=object), np.array([screen_x]), np.array([mz_port], dtype=np.int8),
+        np.array([-1], dtype=np.int8), np.array([-1], dtype=np.int8),
+        np.array([scatter_xy[0]]), np.array([scatter_xy[1]]), np.array([0]),
+    )
+
+
+@pytest.mark.parametrize("cells,kwargs", [
+    ({}, {}),
+    ({"screen_x": 0.5, "mz_port": 0}, {"screen_x": 0.5, "mz_port": "x"}),
+    ({"screen_x": 0.5, "scatter_xy": (1.0, 2.0)}, {"screen_x": 0.5, "scatter_xy": (1.0, 2.0)}),
+    ({"mz_port": 2}, {"mz_port": 2}),
+])
+def test_bulk_builder_raises_the_constructor_messages(cells, kwargs):
+    with pytest.raises(ValueError) as direct:
+        DetectionEvent(0, "run", **kwargs)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+        columns_of(**cells).records()
+
+
+def test_bulk_builder_reads_only_port_code_minus_one_as_no_port():
+    assert columns_of(screen_x=0.5).records() == (DetectionEvent(0, "run", screen_x=0.5),)
+    with pytest.raises(ValueError, match=re.escape("mz_port must be one of ('x', 'y'), got -2")):
+        columns_of(screen_x=0.5, mz_port=-2).records()
 
 
 def test_event_log_is_immutable_and_built_from_one_source():
