@@ -89,11 +89,6 @@ class FringeHistogram:
         return FringeHistogram(self.bin_edges, self.counts + other.counts, self.n_dropped + other.n_dropped)
 
 
-def scatter_projection(event) -> float:
-    """Screen-line coordinate of a scatter event: the x of its (x, y)."""
-    return float(event.scatter_xy[0])
-
-
 def _field_values(log: "EventLog", field: str) -> np.ndarray:
     """One coordinate field's values, in log order, from the events that
     carry it. field is "screen_x" or "scatter_projection"."""

@@ -114,7 +114,7 @@ def _stream_columns(config: ExperimentConfig, stream_id: int, n: int, *, screen_
     empty, none = np.full(n, np.nan), np.full(n, -1, dtype=np.int8)
     return (np.repeat(np.array([config.scenario], dtype=object), n), empty if screen_x is None else screen_x,
             none if mz_port is None else mz_port, *(cavity or (none, none)), *(scatter_xy or (empty, empty)),
-            np.full(n, stream_id, dtype=np.int64))
+            np.full(n, stream_id, dtype=np.uint64))
 
 
 def _screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:

@@ -2,7 +2,9 @@
 
 All writers are byte-deterministic: identical inputs produce identical
 files. Floats are written with repr(), the shortest digit string that
-round-trips, and lines always end with a bare newline.
+round-trips, and lines always end with a bare newline. The events CSV
+is written from a log's EventColumns and read back into them; neither
+direction builds a DetectionEvent.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .analysis import FringeHistogram, FringeMetrics
-from .montecarlo import MZ_PORTS, DetectionEvent, EventColumns, EventLog, _int_array
+from .montecarlo import MZ_PORTS, EventColumns, EventLog, _check_uint64
 
 EVENTS_HEADER = "event_id,experiment,screen_x,mz_port,cavity1_photons,cavity2_photons,scatter_x,scatter_y,stream_id"
 HISTOGRAM_HEADER = "bin_lo,bin_hi,count"
@@ -33,22 +35,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _event_row(event: DetectionEvent) -> str:
-    """One events CSV row, cell for cell what _fmt gives each field."""
-    x, port, ww, xy = event.screen_x, event.mz_port, event.whichway, event.scatter_xy
-    return (
-        f"{event.event_id},{event.experiment},"
-        f"{'' if x is None else repr(float(x))},{'' if port is None else port},"
-        f"{',' if ww is None else f'{ww.cavity1_photons},{ww.cavity2_photons}'},"
-        f"{',' if xy is None else f'{float(xy[0])!r},{float(xy[1])!r}'},"
-        f"{event.stream_id}"
-    )
+def _float_cells(values: np.ndarray):
+    """Lazy cells of a float column: repr() of each value, "" for NaN."""
+    present = ~np.isnan(values)
+    if not present.any():
+        return repeat("")
+    if present.all():
+        return map(repr, values.tolist())
+    return ("" if x != x else repr(x) for x in values.tolist())
 
 
 def write_events_csv(log: EventLog, path: PathLike) -> None:
-    lines = [EVENTS_HEADER]
-    lines.extend(_event_row(e) for e in log.events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """One row per event, formatted from the log's columns a column at a
+    time; no DetectionEvent is built."""
+    c = log._columns
+    streams = c.stream_id.tolist()
+    ports = (*MZ_PORTS, "")  # code -1 reads the last cell, the empty one
+    counts = ("0", "1", "")
+    rows = map(",".join, zip(
+        map(str, range(len(log))), c.experiment.tolist(), _float_cells(c.screen_x),
+        map(ports.__getitem__, c.mz_port.tolist()),
+        map(counts.__getitem__, c.cavity1_photons.tolist()),
+        map(counts.__getitem__, c.cavity2_photons.tolist()),
+        _float_cells(c.scatter_x), _float_cells(c.scatter_y),
+        map({stream: str(stream) for stream in set(streams)}.__getitem__, streams),
+    ))
+    Path(path).write_text("\n".join([EVENTS_HEADER, *rows, ""]), encoding="utf-8", newline="\n")
 
 
 #: Rows parsed per block: bounds the cell strings alive during a read.
@@ -126,7 +138,9 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     if (populated != 1).any():
         raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
     stream_ids = {cell: int(cell) for cell in set(streams)}
-    stream_id = _int_array(list(map(stream_ids.__getitem__, streams)))
+    for stream in stream_ids.values():
+        _check_uint64("stream_id", stream)
+    stream_id = np.fromiter(map(stream_ids.__getitem__, streams), dtype=np.uint64, count=n)
     return experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
-from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -21,9 +20,13 @@ import numpy as np
 if TYPE_CHECKING:
     from .measurement import WhichWayRecord
 
-_UINT64_MAX = 2**64 - 1
-
 MZ_PORTS = ("x", "y")
+
+
+def _check_uint64(name: str, value: int) -> None:
+    """Reject a seed or stream id that cannot key an RngStream."""
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,9 +37,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name, v in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= v <= _UINT64_MAX:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+        _check_uint64("seed", self.seed)
+        _check_uint64("stream_id", self.stream_id)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -49,10 +51,7 @@ class DetectionEvent:
 
     Exactly one of screen_x, mz_port, scatter_xy is set; whichway is
     populated only when the experiment configured a recording mechanism.
-    Records are built once per logged particle, so the constructor checks
-    its arguments in one pass and stores them through the slot
-    descriptors instead of the generated frozen __init__ and a
-    __post_init__.
+    stream_id names the RngStream the event was drawn from.
     """
 
     event_id: int
@@ -63,27 +62,19 @@ class DetectionEvent:
     scatter_xy: Optional[tuple[float, float]] = None
     stream_id: int = 0
 
-    def __init__(self, event_id: int, experiment: str, screen_x: Optional[float] = None,
-                 mz_port: Optional[str] = None, whichway: Optional["WhichWayRecord"] = None,
-                 scatter_xy: Optional[tuple[float, float]] = None, stream_id: int = 0) -> None:
-        if event_id < 0:
+    def __post_init__(self) -> None:
+        if self.event_id < 0:
             raise ValueError("event_id must be nonnegative")
-        populated = (screen_x is not None) + (mz_port is not None) + (scatter_xy is not None)
+        populated = (self.screen_x is not None) + (self.mz_port is not None) + (self.scatter_xy is not None)
         if populated != 1:
             raise ValueError(f"exactly one terminal field must be set, got {populated}")
-        if mz_port is not None and mz_port not in MZ_PORTS:
-            raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {mz_port!r}")
-        _set_event_id(self, event_id)
-        _set_experiment(self, experiment)
-        _set_screen_x(self, screen_x)
-        _set_mz_port(self, mz_port)
-        _set_whichway(self, whichway)
-        _set_scatter_xy(self, scatter_xy)
-        _set_stream_id(self, stream_id)
+        if self.mz_port is not None and self.mz_port not in MZ_PORTS:
+            raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {self.mz_port!r}")
+        _check_uint64("stream_id", self.stream_id)
 
 
-# The slots' own setters: they bypass the frozen __setattr__, as the
-# generated frozen __init__ does through object.__setattr__.
+# The slots' own setters, for EventColumns.records: they bypass the frozen
+# __setattr__, as the generated __init__ does through object.__setattr__.
 _set_event_id = DetectionEvent.event_id.__set__
 _set_experiment = DetectionEvent.experiment.__set__
 _set_screen_x = DetectionEvent.screen_x.__set__
@@ -108,23 +99,21 @@ DetectionEvent.__setattr__ = _frozen_setattr
 DetectionEvent.__delattr__ = _frozen_delattr
 
 
-def _int_array(values: list[int]) -> np.ndarray:
-    """Python ints as an int64 array, or an object array of the same ints
-    when one does not fit in 64 bits."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+#: The fields column() reads, each from the events that carry it.
+EVENT_FIELDS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_photons",
+                "single_cavity_mode", "scatter_x", "scatter_y")
 
 
 class EventColumns(NamedTuple):
     """An event log as one numpy array per field; entry i is event i.
 
-    The float columns hold NaN, and the port and cavity columns -1, where
-    an event does not carry the field; mz_port indexes MZ_PORTS, and
-    experiment holds one shared string per distinct name. A row with
-    cavity counts is a which-way record, in single-cavity mode when
-    single_cavity is set (a single-cavity run) or both counts are 0.
+    This is the one store behind EventLog, and the format io writes and
+    reads. The float columns hold NaN, and the port and cavity columns -1,
+    where an event does not carry the field; mz_port indexes MZ_PORTS,
+    stream_id is uint64, and experiment holds one shared string per
+    distinct name. A row with cavity counts is a which-way record, in
+    single-cavity mode when single_cavity is set (a single-cavity run) or
+    both counts are 0.
     """
 
     experiment: np.ndarray
@@ -139,6 +128,8 @@ class EventColumns(NamedTuple):
 
     def column(self, name: str) -> np.ndarray:
         """The named field of every event that carries it, in log order."""
+        if name not in EVENT_FIELDS:
+            raise ValueError(f"unknown event field {name!r}; expected one of {EVENT_FIELDS}")
         if name == "experiment":
             return self.experiment
         if name == "mz_port":
@@ -186,29 +177,35 @@ class EventColumns(NamedTuple):
             deque(map(set_field, events, values), maxlen=0)
         return tuple(events)
 
-
-#: Per field EventLog.column reads from records: the record attribute
-#: that is None on events without the field, the value, and the dtype.
-_RECORD_FIELDS = {
-    "experiment": ("event_id", attrgetter("experiment"), object),  # every event carries it
-    "screen_x": ("screen_x", attrgetter("screen_x"), float),
-    "mz_port": ("mz_port", attrgetter("mz_port"), object),
-    **{name: ("whichway", attrgetter(f"whichway.{name}"), dtype) for name, dtype in (
-        ("cavity1_photons", np.int8), ("cavity2_photons", np.int8), ("single_cavity_mode", bool))},
-    "scatter_x": ("scatter_xy", lambda e: e.scatter_xy[0], float),
-    "scatter_y": ("scatter_xy", lambda e: e.scatter_xy[1], float),
-}
+    @classmethod
+    def from_records(cls, events: tuple[DetectionEvent, ...]) -> "EventColumns":
+        """The columns of records, the inverse of records(); single_cavity is
+        set when any which-way record is in single-cavity mode, as in a run."""
+        names: dict[str, str] = {}  # one shared string per distinct name
+        whichway = [e.whichway for e in events]
+        counts = [(-1, -1) if ww is None else (ww.cavity1_photons, ww.cavity2_photons) for ww in whichway]
+        scatter = [(np.nan, np.nan) if e.scatter_xy is None else e.scatter_xy for e in events]
+        return cls(
+            np.array([names.setdefault(e.experiment, e.experiment) for e in events], dtype=object),
+            np.array([np.nan if e.screen_x is None else e.screen_x for e in events], dtype=float),
+            np.array([-1 if e.mz_port is None else MZ_PORTS.index(e.mz_port) for e in events], dtype=np.int8),
+            *np.array(counts, dtype=np.int8).reshape(-1, 2).T,
+            *np.array(scatter, dtype=float).reshape(-1, 2).T,
+            np.array([e.stream_id for e in events], dtype=np.uint64),
+            single_cavity=any(ww is not None and ww.single_cavity_mode for ww in whichway),
+        )
 
 
 class EventLog:
     """Ordered detection events plus the hash of the producing config.
 
-    A log is backed by its records or by EventColumns (run_experiment
-    and read_events_csv build those). Either way column() reads one
-    field without per-event objects, and events holds the records; a
-    column-backed log builds them on first access and keeps them. Logs
-    are immutable and compare equal when their events and config
-    digests are equal.
+    The log's data are its EventColumns: run_experiment and
+    read_events_csv build those, and a log built from DetectionEvents
+    converts them to columns once. column() reads one field of them.
+    events is a cached view: the records the log was built from, or
+    those EventColumns.records() builds on first access. Logs are
+    immutable and compare equal when their config digests and columns
+    are equal, NaN cells equal to NaN.
     """
 
     __slots__ = ("config_digest", "_events", "_columns")
@@ -222,6 +219,7 @@ class EventLog:
             for i, e in enumerate(events):
                 if e.event_id != i:
                     raise ValueError(f"event ids must be dense from 0; position {i} holds id {e.event_id}")
+            columns = EventColumns.from_records(events)
         object.__setattr__(self, "config_digest", config_digest)
         object.__setattr__(self, "_events", events)
         object.__setattr__(self, "_columns", columns)
@@ -236,29 +234,21 @@ class EventLog:
         return self._events
 
     def column(self, name: str) -> np.ndarray:
-        """The named field of every event that carries it, in log order.
-
-        name is experiment, screen_x, mz_port, cavity1_photons,
-        cavity2_photons, single_cavity_mode, scatter_x or scatter_y. A
-        record-backed log pays one pass over its records.
-        """
-        if name not in _RECORD_FIELDS:
-            raise ValueError(f"unknown event field {name!r}; expected one of {tuple(_RECORD_FIELDS)}")
-        if self._columns is not None:
-            return self._columns.column(name)
-        carrier, value, dtype = _RECORD_FIELDS[name]
-        return np.array([value(e) for e in self._events if getattr(e, carrier) is not None], dtype=dtype)
+        """The named field (see EVENT_FIELDS) of the events that carry it, in log order."""
+        return self._columns.column(name)
 
     def __len__(self) -> int:
-        return len(self._events) if self._columns is None else self._columns.experiment.size
+        return self._columns.experiment.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        return self.config_digest == other.config_digest and self.events == other.events
+        a, b = self._columns, other._columns
+        return (self.config_digest == other.config_digest and a.single_cavity == b.single_cavity
+                and all(np.array_equal(x, y, equal_nan=x.dtype == float) for x, y in zip(a[:-1], b[:-1])))
 
     def __hash__(self) -> int:
-        return hash((self.events, self.config_digest))
+        return hash((self.config_digest, len(self)))
 
 
 def _checked_weights(weights) -> np.ndarray:

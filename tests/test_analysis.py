@@ -19,7 +19,6 @@ from fringelab.analysis import (
     local_extrema,
     overlap_distinguishability,
     profile_visibility,
-    scatter_projection,
     smooth3,
     visibility,
 )
@@ -92,11 +91,6 @@ def test_histogram_field_extraction():
         histogram(log, "scatter_projection", 2, (0.0, 1.0))
     with pytest.raises(ValueError):
         histogram(log, "mz_port", 2, (0.0, 1.0))
-
-
-def test_scatter_projection_takes_first_coordinate():
-    event = DetectionEvent(0, "run", scatter_xy=(1.5, 2.5))
-    assert scatter_projection(event) == 1.5
 
 
 def test_smooth3_is_edge_preserving():

@@ -4,7 +4,14 @@ import pytest
 
 from fringelab.cli import main
 from fringelab.config import build_preset, serialize_config
-from fringelab.io import EVENTS_HEADER, HISTOGRAM_HEADER, METRICS_HEADER, SWEEP_HEADER
+from fringelab.io import (
+    EVENTS_HEADER,
+    HISTOGRAM_HEADER,
+    METRICS_HEADER,
+    SWEEP_HEADER,
+    read_events_csv,
+    write_events_csv,
+)
 from fringelab.montecarlo import DetectionEvent, EventColumns
 
 
@@ -248,3 +255,6 @@ def test_analyze_and_eraser_build_no_event_records(tmp_path, capsys, monkeypatch
     for argv in commands:
         assert run(*argv) == 0
     assert (capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in outputs]) == expected
+    copy = tmp_path / "copy.csv"
+    write_events_csv(read_events_csv(events), copy)
+    assert copy.read_bytes() == events.read_bytes()

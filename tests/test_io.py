@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from fringelab.config import build_preset
 from fringelab.experiments import run_experiment
 from fringelab.io import (
     EVENTS_HEADER,
-    _event_row,
     HISTOGRAM_HEADER,
     METRICS_HEADER,
     read_events_csv,
@@ -228,6 +229,9 @@ _BAD_ROWS = [
     ("non-int id", "4.0,run,0.1,,,,,,0"),
     ("non-int stream", "4,run,0.1,,,,,,s"),
     ("float stream", "4,run,0.1,,,,,,1.5"),
+    ("negative stream", "4,run,0.1,,,,,,-5"),
+    ("stream 2**64", f"4,run,0.1,,,,,,{2**64}"),
+    ("stream 2**70", f"4,run,0.1,,,,,,{2**70}"),
 ]
 
 
@@ -284,7 +288,7 @@ _EVENTS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.tuples(_NAMES, _EVENTS, st.integers(-2**70, 2**70)), max_size=40))
+@given(rows=st.lists(st.tuples(_NAMES, _EVENTS, st.integers(0, 2**64 - 1)), max_size=40))
 def test_write_read_write_is_byte_identical(tmp_path, rows):
     log = EventLog(tuple(DetectionEvent(i, name, stream_id=stream, **fields)
                          for i, (name, fields, stream) in enumerate(rows)))
@@ -315,7 +319,10 @@ def _valid_log_bytes() -> bytes:
     scattered = run_experiment(build_preset("mz_weak_screen"), 400, seed=3).events
     scattered = [e for e in scattered if e.scatter_xy is not None][:2] + [e for e in scattered if e.mz_port][:2]
     mixed = events + tuple(dataclasses.replace(e, event_id=len(events) + i) for i, e in enumerate(scattered))
-    return f"{EVENTS_HEADER}\n{''.join(_event_row(e) + chr(10) for e in mixed)}".encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        write_events_csv(EventLog(mixed), path)
+        return path.read_bytes()
 
 
 _VALID_LOG = _valid_log_bytes()

@@ -79,6 +79,9 @@ _EVENT = {"event_id": 3, "experiment": "run", "screen_x": 0.25}
     ({"mz_port": "x"}, "exactly one terminal field must be set, got 2"),
     ({"mz_port": "x", "scatter_xy": (0.0, 0.0)}, "exactly one terminal field must be set, got 3"),
     ({"screen_x": None, "mz_port": "up"}, "mz_port must be one of ('x', 'y'), got 'up'"),
+    ({"stream_id": -5}, "stream_id must be a 64-bit unsigned integer, got -5"),
+    ({"stream_id": 2**64}, f"stream_id must be a 64-bit unsigned integer, got {2**64}"),
+    ({"stream_id": 2**70}, f"stream_id must be a 64-bit unsigned integer, got {2**70}"),
 ])
 def test_event_record_contract(changes, message):
     base = DetectionEvent(**_EVENT)
@@ -132,7 +135,7 @@ _COLUMNS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_pho
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_record_and_column_logs_give_equal_columns(tmp_path, preset):
+def test_record_and_column_logs_give_equal_columns(tmp_path, monkeypatch, preset):
     records = run_experiment(build_preset(preset), 600, seed=3, n_streams=2)
     path = tmp_path / "events.csv"
     write_events_csv(records, path)
@@ -149,6 +152,22 @@ def test_record_and_column_logs_give_equal_columns(tmp_path, preset):
     assert [e.stream_id for e in columns.events] == [e.stream_id for e in records.events]
     with pytest.raises(ValueError, match="unknown event field"):
         columns.column("whichway")
+    rebuilt = EventLog(records.events, records.config_digest)
+    assert rebuilt == records and hash(rebuilt) == hash(records)
+
+    def no_records(self):
+        raise AssertionError("records were built")
+
+    monkeypatch.setattr(EventColumns, "records", no_records)
+    fresh, again = read_events_csv(path), read_events_csv(path)
+    assert len(fresh) == len(records)
+    for name in _COLUMNS:
+        fresh.column(name)
+    assert np.isnan(np.concatenate([fresh._columns.screen_x, fresh._columns.scatter_x])).any()
+    assert fresh == again and hash(fresh) == hash(again)  # NaN cells compare equal
+    for changed in (fresh._columns._replace(stream_id=fresh._columns.stream_id + 1),
+                    fresh._columns._replace(single_cavity=not fresh._columns.single_cavity)):
+        assert fresh != EventLog(columns=changed)
 
 
 def one_by_one(columns):
