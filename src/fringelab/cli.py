@@ -1,5 +1,8 @@
 """Command-line surface: simulate, analyze, sweep, eraser.
 
+No command builds a DetectionEvent: simulate and sweep take the column
+log of a run, and analyze and eraser read the events CSV into columns.
+
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
 value, unknown preset, out-of-range seed or count), 3 runtime failure
 (missing or malformed event log, unwritable output, no analyzable field).
@@ -23,7 +26,7 @@ from .analysis import (
     visibility,
 )
 from .config import ConfigError, ExperimentConfig, build_preset, parse_config
-from .experiments import fringe_window, run_experiment
+from .experiments import _simulated_log, fringe_window
 from .io import (
     SWEEP_HEADER,
     read_events_csv,
@@ -131,7 +134,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_at_least("--events", args.events, 1)
     config = _resolve_config(args)
-    log = run_experiment(config, args.events, args.seed)
+    log = _simulated_log(config, args.events, args.seed)
     write_events_csv(log, args.out)
     print(f"{config.scenario}: wrote {len(log)} events to {args.out}")
     return 0
@@ -161,7 +164,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = [SWEEP_HEADER]
     for value in np.linspace(args.start, args.stop, args.steps).tolist():
         config = parse_config(text, overrides={args.param: repr(value)})
-        log = run_experiment(config, args.events, args.seed)
+        log = _simulated_log(config, args.events, args.seed)
         field = _auto_field(log)
         window = fringe_window(config) if field == "screen_x" else None
         if window is not None:

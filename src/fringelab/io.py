@@ -36,31 +36,45 @@ def _fmt(value) -> str:
 
 
 def _float_cells(values: np.ndarray):
-    """Lazy cells of a float column: repr() of each value, "" for NaN."""
+    """Cells of a float column: repr() of each value, "" for NaN."""
     present = ~np.isnan(values)
     if not present.any():
         return repeat("")
     if present.all():
         return map(repr, values.tolist())
-    return ("" if x != x else repr(x) for x in values.tolist())
+    cells = [""] * values.size
+    for i, x in zip(np.flatnonzero(present).tolist(), values[present].tolist()):
+        cells[i] = repr(x)
+    return cells
+
+
+#: Rows formatted per block: bounds the cell strings alive during a write.
+WRITE_BLOCK = 65536
 
 
 def write_events_csv(log: EventLog, path: PathLike) -> None:
     """One row per event, formatted from the log's columns a column at a
-    time; no DetectionEvent is built."""
+    time, WRITE_BLOCK rows per write to a file opened once; no
+    DetectionEvent is built."""
     c = log._columns
-    streams = c.stream_id.tolist()
     ports = (*MZ_PORTS, "")  # code -1 reads the last cell, the empty one
     counts = ("0", "1", "")
-    rows = map(",".join, zip(
-        map(str, range(len(log))), c.experiment.tolist(), _float_cells(c.screen_x),
-        map(ports.__getitem__, c.mz_port.tolist()),
-        map(counts.__getitem__, c.cavity1_photons.tolist()),
-        map(counts.__getitem__, c.cavity2_photons.tolist()),
-        _float_cells(c.scatter_x), _float_cells(c.scatter_y),
-        map({stream: str(stream) for stream in set(streams)}.__getitem__, streams),
-    ))
-    Path(path).write_text("\n".join([EVENTS_HEADER, *rows, ""]), encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(EVENTS_HEADER + "\n")
+        for first in range(0, len(log), WRITE_BLOCK):
+            block = slice(first, first + WRITE_BLOCK)
+            streams = c.stream_id[block].tolist()
+            rows = list(map(",".join, zip(
+                map(str, range(first, first + len(streams))), c.experiment[block].tolist(),
+                _float_cells(c.screen_x[block]),
+                map(ports.__getitem__, c.mz_port[block].tolist()),
+                map(counts.__getitem__, c.cavity1_photons[block].tolist()),
+                map(counts.__getitem__, c.cavity2_photons[block].tolist()),
+                _float_cells(c.scatter_x[block]), _float_cells(c.scatter_y[block]),
+                map({stream: str(stream) for stream in set(streams)}.__getitem__, streams),
+            )))
+            rows.append("")  # every row ends with a newline
+            out.write("\n".join(rows))
 
 
 #: Rows parsed per block: bounds the cell strings alive during a read.

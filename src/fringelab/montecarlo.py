@@ -10,6 +10,7 @@ partitioned across streams and merged deterministically.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
@@ -68,6 +69,10 @@ class DetectionEvent:
         populated = (self.screen_x is not None) + (self.mz_port is not None) + (self.scatter_xy is not None)
         if populated != 1:
             raise ValueError(f"exactly one terminal field must be set, got {populated}")
+        if self.screen_x is not None and not math.isfinite(self.screen_x):
+            raise ValueError(f"screen_x must be finite, got {self.screen_x!r}")
+        if self.scatter_xy is not None and not all(map(math.isfinite, self.scatter_xy)):
+            raise ValueError(f"scatter_xy must be finite, got {self.scatter_xy!r}")
         if self.mz_port is not None and self.mz_port not in MZ_PORTS:
             raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {self.mz_port!r}")
         _check_uint64("stream_id", self.stream_id)
@@ -142,20 +147,27 @@ class EventColumns(NamedTuple):
             return values[values >= 0]
         return values[~np.isnan(values)]
 
-    def records(self) -> tuple[DetectionEvent, ...]:
-        """The rows as DetectionEvents, one field at a time: the checks of
-        DetectionEvent() run once per column with its messages, ids are the
-        row numbers, and equal cavity counts share one WhichWayRecord."""
-        from .measurement import WhichWayRecord  # measurement imports this module
-
-        n, port, c1, none = self.experiment.size, self.mz_port, self.cavity1_photons, repeat(None)
-        screen, scattered = ~np.isnan(self.screen_x), ~np.isnan(self.scatter_x)
-        populated = screen.astype(np.int8) + (port >= 0) + scattered
+    def check(self) -> None:
+        """Run the row checks of DetectionEvent() once per column, with its
+        messages: exactly one terminal field per row, and a port code that
+        indexes MZ_PORTS or is -1."""
+        port = self.mz_port
+        populated = (~np.isnan(self.screen_x)).astype(np.int8) + (port >= 0) + ~np.isnan(self.scatter_x)
         if (populated != 1).any():
             raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
         bad = (port < -1) | (port >= len(MZ_PORTS))
         if bad.any():
             raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {port[np.argmax(bad)]}")
+
+    def records(self) -> tuple[DetectionEvent, ...]:
+        """The rows as DetectionEvents, one field at a time: check() runs
+        the checks of DetectionEvent(), ids are the row numbers, and equal
+        cavity counts share one WhichWayRecord."""
+        from .measurement import WhichWayRecord  # measurement imports this module
+
+        self.check()
+        n, port, c1, none = self.experiment.size, self.mz_port, self.cavity1_photons, repeat(None)
+        screen, scattered = ~np.isnan(self.screen_x), ~np.isnan(self.scatter_x)
         whichway = none
         if (c1 >= 0).any():
             pairs = list(zip(c1.tolist(), self.cavity2_photons.tolist()))

@@ -1,7 +1,9 @@
 """Command-line entry points, exercised in process through main(argv)."""
 
+import numpy as np
 import pytest
 
+from fringelab import experiments
 from fringelab.cli import main
 from fringelab.config import build_preset, serialize_config
 from fringelab.io import (
@@ -31,6 +33,20 @@ def test_simulate_writes_events(tmp_path, capsys):
     assert lines[0] == EVENTS_HEADER
     assert len(lines) == 51
     assert "wrote 50 events" in capsys.readouterr().out
+
+
+def test_simulate_checks_the_generated_columns(tmp_path, capsys, monkeypatch):
+    generate = experiments._generate
+
+    def port_on_every_screen_row(*args):
+        columns = generate(*args)
+        return (*columns[:2], np.zeros_like(columns[2]), *columns[3:])
+
+    monkeypatch.setattr(experiments, "_generate", port_on_every_screen_row)
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--preset", "young_baseline", "--events", 10, "--seed", 1, "--out", out) == 3
+    assert "exactly one terminal field must be set, got 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_requires_a_source():
@@ -233,18 +249,24 @@ def test_bad_count_is_a_config_error(tmp_path, capsys, command, option, bad):
 
 
 @pytest.mark.parametrize("preset", ["young_baseline", "eraser_modulation", "young_micromaser"])
-def test_analyze_and_eraser_build_no_event_records(tmp_path, capsys, monkeypatch, preset):
-    events = simulate(tmp_path, preset, 2000)
+def test_cli_commands_build_no_event_records(tmp_path, capsys, monkeypatch, preset):
+    events, cfg = tmp_path / "events.csv", tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset(preset)))
     commands = [
+        ["simulate", "--preset", preset, "--events", 2000, "--seed", 1, "--out", events],
         ["analyze", "--events", events, "--out-hist", tmp_path / "h.csv",
          "--out-metrics", tmp_path / "m.csv", "--pgm", tmp_path / "h.pgm"],
         ["eraser", "--events", events, "--gamma", 0.5, "--out", tmp_path / "e.csv"],
+        ["sweep", "--config", cfg, "--param", "internal_overlap", "--from", 0.0, "--to", 1.0,
+         "--steps", 3, "--events", 500, "--seed", 5, "--out", tmp_path / "s.csv"],
     ]
-    outputs = ("h.csv", "m.csv", "h.pgm", "e.csv")
+    outputs = ("events.csv", "h.csv", "m.csv", "h.pgm", "e.csv", "s.csv")
     capsys.readouterr()
     for argv in commands:
         assert run(*argv) == 0
     expected = capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in outputs]
+    for name in outputs:
+        (tmp_path / name).unlink()
 
     def no_records(self, *args, **kwargs):
         raise AssertionError("a DetectionEvent was built")

@@ -1,6 +1,8 @@
 """File formats: events CSV round-trips, histogram/metrics CSV, PGM bytes."""
 
 import dataclasses
+import hashlib
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -81,6 +83,21 @@ def test_write_is_byte_deterministic(tmp_path):
     write_events_csv(log, a)
     write_events_csv(log, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+_GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN["digests"]))
+def test_block_boundaries_leave_the_golden_bytes(tmp_path, monkeypatch, key):
+    # 2000 rows in 3 streams of 667, 667 and 666: blocks of 7 straddle each stream change
+    preset, streams = key.split("/streams=")
+    log = run_experiment(build_preset(preset), _GOLDEN["events"], _GOLDEN["seed"], n_streams=int(streams))
+    path = tmp_path / "events.csv"
+    for block in (1, 7, 2000):
+        monkeypatch.setattr("fringelab.io.WRITE_BLOCK", block)
+        write_events_csv(log, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN["digests"][key], block
 
 
 def test_floats_round_trip_exactly(tmp_path):

@@ -82,6 +82,10 @@ _EVENT = {"event_id": 3, "experiment": "run", "screen_x": 0.25}
     ({"stream_id": -5}, "stream_id must be a 64-bit unsigned integer, got -5"),
     ({"stream_id": 2**64}, f"stream_id must be a 64-bit unsigned integer, got {2**64}"),
     ({"stream_id": 2**70}, f"stream_id must be a 64-bit unsigned integer, got {2**70}"),
+    ({"screen_x": float("nan")}, "screen_x must be finite, got nan"),
+    ({"screen_x": float("-inf")}, "screen_x must be finite, got -inf"),
+    ({"screen_x": None, "scatter_xy": (float("nan"), 0.0)}, "scatter_xy must be finite, got (nan, 0.0)"),
+    ({"screen_x": None, "scatter_xy": (0.0, float("inf"))}, "scatter_xy must be finite, got (0.0, inf)"),
 ])
 def test_event_record_contract(changes, message):
     base = DetectionEvent(**_EVENT)
@@ -232,8 +236,9 @@ def columns_of(screen_x=np.nan, mz_port=-1, scatter_xy=(np.nan, np.nan)):
 def test_bulk_builder_raises_the_constructor_messages(cells, kwargs):
     with pytest.raises(ValueError) as direct:
         DetectionEvent(0, "run", **kwargs)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
-        columns_of(**cells).records()
+    for build in (columns_of(**cells).check, columns_of(**cells).records):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
+            build()
 
 
 def test_bulk_builder_reads_only_port_code_minus_one_as_no_port():
