@@ -1,7 +1,8 @@
 """Command-line surface: simulate, analyze, sweep, eraser.
 
-No command builds a DetectionEvent: simulate and sweep take the column
-log of a run, and analyze and eraser read the events CSV into columns.
+No command builds a DetectionEvent: simulate and sweep run experiments
+with records=False, and analyze and eraser read the events CSV into
+columns.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
 value, unknown preset, out-of-range seed or count), 3 runtime failure
@@ -26,7 +27,7 @@ from .analysis import (
     visibility,
 )
 from .config import ConfigError, ExperimentConfig, build_preset, parse_config
-from .experiments import _simulated_log, fringe_window
+from .experiments import fringe_window, run_experiment
 from .io import (
     SWEEP_HEADER,
     read_events_csv,
@@ -134,7 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_at_least("--events", args.events, 1)
     config = _resolve_config(args)
-    log = _simulated_log(config, args.events, args.seed)
+    log = run_experiment(config, args.events, args.seed, records=False)
     write_events_csv(log, args.out)
     print(f"{config.scenario}: wrote {len(log)} events to {args.out}")
     return 0
@@ -164,7 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = [SWEEP_HEADER]
     for value in np.linspace(args.start, args.stop, args.steps).tolist():
         config = parse_config(text, overrides={args.param: repr(value)})
-        log = _simulated_log(config, args.events, args.seed)
+        log = run_experiment(config, args.events, args.seed, records=False)
         field = _auto_field(log)
         window = fringe_window(config) if field == "screen_x" else None
         if window is not None:

@@ -17,11 +17,12 @@ Per-event uniforms by scenario family:
 
 Generators emit a stream's events as numpy columns, which are joined and
 checked once; run_experiment then builds the records from them in one
-bulk pass, and the command line uses the columns alone. Weak-screen
-runs read their uniforms ahead in blocks and then walk the variable
-strides (3, 2 or 1 uniforms per particle) through the block, so their
-output equals the per-particle loop over weak_screen_interact and a
-port draw; only the stream's position after the run differs.
+bulk pass, unless the caller (the command line) asks for the columns
+alone. Weak-screen runs read their uniforms ahead in blocks and then
+walk the variable strides (3, 2 or 1 uniforms per particle) through the
+block, so their output equals the per-particle loop over
+weak_screen_interact and a port draw; only the stream's position after
+the run differs.
 """
 
 from __future__ import annotations
@@ -222,9 +223,21 @@ def _generate(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
     return _screen_columns(config, n, rng, stream_id)
 
 
-def _simulated_log(config: ExperimentConfig, n_events: int, seed: int, n_streams: int = 1) -> EventLog:
-    """run_experiment's log without its records: the joined columns, with
-    the checks EventColumns.records() runs on them."""
+def run_experiment(
+    config: ExperimentConfig, n_events: int, seed: int, n_streams: int = 1, *, records: bool = True
+) -> EventLog:
+    """Simulate n_events particles and log their terminal records.
+
+    Deterministic given (config, n_events, seed, n_streams): stream s
+    draws from the generator keyed (seed, s), streams are concatenated
+    in stream order, and event ids are assigned densely across the
+    merged log. n_events counts particles sent in; only the weak-screen
+    scenario can absorb a particle without a record, every other
+    scenario logs exactly one event per particle. The log holds the
+    columns and the records built from them. With records=False, as the
+    command line calls it, the columns are checked and the records are
+    left to a first read of log.events.
+    """
     if n_events < 1:
         raise ValueError(f"n_events must be at least 1, got {n_events}")
     if n_streams < 1:
@@ -235,25 +248,12 @@ def _simulated_log(config: ExperimentConfig, n_events: int, seed: int, n_streams
         for s in range(min(n_streams, n_events))
     )
     columns = EventColumns(*map(np.concatenate, zip(*streams)), single_cavity=config.single_cavity)
-    columns.check()
-    return EventLog(columns=columns, config_digest=config_digest(config))
-
-
-def run_experiment(config: ExperimentConfig, n_events: int, seed: int, n_streams: int = 1) -> EventLog:
-    """Simulate n_events particles and log their terminal records.
-
-    Deterministic given (config, n_events, seed, n_streams): stream s
-    draws from the generator keyed (seed, s), streams are concatenated
-    in stream order, and event ids are assigned densely across the
-    merged log. n_events counts particles sent in; only the weak-screen
-    scenario can absorb a particle without a record, every other
-    scenario logs exactly one event per particle. The log holds the
-    columns and the records built from them; the command line takes the
-    same log without the records.
-    """
-    log = _simulated_log(config, n_events, seed, n_streams)
-    # builds the records here, for the benchmark's weak_screen step, which reads
-    # log.events; once it reads log.column("mz_port"), this line goes and
-    # _simulated_log merges back into this function
-    log.events
+    log = EventLog(columns=columns, config_digest=config_digest(config))
+    if records:
+        # builds the records here, for the benchmark's weak_screen step, which reads
+        # log.events; once it reads log.column("mz_port"), this branch and the
+        # records parameter go
+        log.events  # EventColumns.records() checks the columns first
+    else:
+        columns.check()
     return log

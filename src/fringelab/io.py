@@ -55,7 +55,8 @@ WRITE_BLOCK = 65536
 def write_events_csv(log: EventLog, path: PathLike) -> None:
     """One row per event, formatted from the log's columns a column at a
     time, WRITE_BLOCK rows per write to a file opened once; no
-    DetectionEvent is built."""
+    DetectionEvent is built. A write cut short leaves whole blocks of
+    rows, which read back as a shorter log."""
     c = log._columns
     ports = (*MZ_PORTS, "")  # code -1 reads the last cell, the empty one
     counts = ("0", "1", "")

@@ -15,7 +15,7 @@ from fringelab.experiments import (
     slit_probabilities,
 )
 from fringelab.measurement import measured_signal, micromaser_record, midline_profile, weak_screen_interact
-from fringelab.montecarlo import DetectionEvent, RngStream, sample_position, sample_positions, sampling_grid
+from fringelab.montecarlo import DetectionEvent, EventColumns, RngStream, sample_position, sample_positions, sampling_grid
 from fringelab.wavefield import mz_port_intensity
 
 
@@ -118,6 +118,21 @@ def test_run_experiment_is_deterministic():
     assert a == b
     c = run_experiment(config, 250, seed=78)
     assert a != c
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_run_without_records_logs_the_same_columns(monkeypatch, name):
+    config = build_preset(name)
+    full = run_experiment(config, 300, seed=5, n_streams=2)
+
+    def no_records(self):
+        raise AssertionError("records were built")
+
+    monkeypatch.setattr(EventColumns, "records", no_records)
+    bare = run_experiment(config, 300, seed=5, n_streams=2, records=False)
+    assert bare == full
+    monkeypatch.undo()
+    assert bare.events == full.events
 
 
 def test_streams_partition_and_merge_in_order():
