@@ -12,6 +12,7 @@ value, unknown preset, out-of-range seed or count), 3 runtime failure
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .montecarlo import RngStream
 from .wavefield import single_slit_intensity
 
 
+@functools.cache  # built once per process: parsing leaves no state on the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fringelab",

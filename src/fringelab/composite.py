@@ -14,6 +14,10 @@ The observable screen pattern of the superposition is
 
 so any orthogonality between internal or detector factors suppresses the
 cross term, and random extra phases wash it out on ensemble average.
+
+States that differ only in their internal, detector or noise factors,
+such as the steps of an overlap sweep, share the slits' waves on a grid:
+the last ones computed are kept, read-only (see slit_branch_amplitude).
 """
 
 from __future__ import annotations
@@ -158,6 +162,23 @@ class CompositeState:
         return inner(b1.internal, b2.internal) * inner(b1.detector, b2.detector)
 
 
+#: The slit waves last computed on an array grid, as (key, {slit: wave}):
+#: one geometry's two waves at a time, about 200 KB on the 4096-cell
+#: sampling grid with the grid's bytes in the key. A new key replaces the
+#: pair and a dict only gains waves of its own key, so a caller holding a
+#: pair never reads another key's wave.
+_slit_waves: tuple = (None, {})
+
+
+def _wave_key(geometry: TwoSlitGeometry, beam: BeamSpec, include_envelope: bool, x):
+    """Everything a slit wave on x depends on, compared exactly; None for
+    a scalar or non-numeric x, whose waves are not kept."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0 or x.dtype.kind not in "biuf":
+        return None
+    # == takes -0.0 for 0.0: the amplitudes' repr and x's bytes tell them apart
+    return (geometry, repr(geometry.slit_amplitudes), beam, include_envelope, x.dtype.str, x.shape, x.tobytes())
+
+
 def slit_branch_amplitude(
     geometry: TwoSlitGeometry,
     beam: BeamSpec,
@@ -170,16 +191,34 @@ def slit_branch_amplitude(
     envelope(x) * amp * e^{i phase(x)}. With include_envelope=False the
     modulus is held flat, which isolates the interference algebra from
     diffraction; useful when checking visibility laws exactly.
+
+    On a numeric array x the wave is kept, read-only, for the next call
+    with the same geometry, beam, envelope flag and x (dtype, shape and
+    bytes), from this function or any other built on the same arguments:
+    a sweep over a key that leaves geometry and beam alone computes each
+    slit's wave once. Only the last such (geometry, beam, envelope, x)
+    is kept; a scalar x is computed every time.
     """
     if slit not in (1, 2):
         raise ValueError(f"slit must be 1 or 2, got {slit!r}")
     amp = geometry.slit_amplitudes[slit - 1]
 
     def amplitude(x):
+        global _slit_waves
+        key = _wave_key(geometry, beam, include_envelope, x)
+        held, waves = _slit_waves
+        if key is not None and key == held and slit in waves:
+            return waves[slit]
         phase = np.asarray(transport_phase(geometry, beam, slit, x))
         wave = amp * np.exp(1j * phase)
         if include_envelope:
             wave = np.asarray(slit_envelope(geometry, beam, x)) * wave
+        if key is not None:
+            wave.flags.writeable = False
+            if key != held:
+                waves = {}
+                _slit_waves = (key, waves)
+            waves[slit] = wave
         return wave
 
     return amplitude

@@ -9,6 +9,7 @@ direction builds a DetectionEvent.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Union
@@ -82,7 +83,6 @@ def write_events_csv(log: EventLog, path: PathLike) -> None:
 READ_BLOCK = 1024
 
 _PORT_CODES = {"": -1, **{port: code for code, port in enumerate(MZ_PORTS)}}
-_BAD_PORT = -2
 
 
 def _float_column(cells: list[str]) -> np.ndarray:
@@ -101,15 +101,32 @@ def _float_column(cells: list[str]) -> np.ndarray:
     return out
 
 
-def _cavity_column(cells: list[str], name: str) -> np.ndarray:
-    """Photon counts parsed with int(), once per distinct cell; -1 where
-    a cell is empty."""
-    counts = {cell: int(cell) for cell in set(cells) if cell}
-    for count in counts.values():
-        if count not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, got {count!r}")
-    counts[""] = -1
-    return np.fromiter(map(counts.__getitem__, cells), dtype=np.int8, count=len(cells))
+def _coded_column(cells: list[str], decode, dtype) -> np.ndarray:
+    """decode applied once per distinct cell and spread over the cells;
+    decode raises ValueError on a bad cell."""
+    distinct = set(cells)
+    if len(distinct) == 1:
+        column = np.empty(len(cells), dtype=dtype)
+        column[:] = decode(cells[0])  # np.full would copy a string into every object cell
+        return column
+    values = {cell: decode(cell) for cell in distinct}
+    return np.fromiter(map(values.__getitem__, cells), dtype=dtype, count=len(cells))
+
+
+def _port_code(cell: str) -> int:
+    if cell not in _PORT_CODES:
+        raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {cell!r}")
+    return _PORT_CODES[cell]
+
+
+def _photon_count(name: str, cell: str) -> int:
+    """A count parsed with int(), -1 for an empty cell."""
+    if not cell:
+        return -1
+    count = int(cell)
+    if count not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {count!r}")
+    return count
 
 
 def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) -> tuple:
@@ -133,14 +150,11 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     if ids != list(range(first_id, first_id + n)):
         position, got = next((p, i) for p, i in enumerate(ids, first_id) if p != i)
         raise ValueError(f"event ids must be dense from 0; position {position} holds id {got}")
-    for name in dict.fromkeys(names):
-        experiments.setdefault(name, name)
-    experiment = np.fromiter(map(experiments.__getitem__, names), dtype=object, count=n)
+    experiment = _coded_column(names, lambda name: experiments.setdefault(name, name), object)
     screen_x = _float_column(screen_x)
-    mz_port = np.fromiter(map(_PORT_CODES.get, ports, repeat(_BAD_PORT)), dtype=np.int8, count=n)
-    if (mz_port == _BAD_PORT).any():
-        raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {ports[np.argmax(mz_port == _BAD_PORT)]!r}")
-    cavity1, cavity2 = _cavity_column(cav1, "cavity1_photons"), _cavity_column(cav2, "cavity2_photons")
+    mz_port = _coded_column(ports, _port_code, np.int8)
+    cavity1 = _coded_column(cav1, partial(_photon_count, "cavity1_photons"), np.int8)
+    cavity2 = _coded_column(cav2, partial(_photon_count, "cavity2_photons"), np.int8)
     if ((cavity1 < 0) != (cavity2 < 0)).any():
         raise ValueError("cavity counts must both be present or both empty")
     if (cavity1 + cavity2 > 1).any():
@@ -152,10 +166,7 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     populated = (~np.isnan(screen_x)).astype(np.int8) + (mz_port >= 0) + scattered
     if (populated != 1).any():
         raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
-    stream_ids = {cell: int(cell) for cell in set(streams)}
-    for stream in stream_ids.values():
-        _check_uint64("stream_id", stream)
-    stream_id = np.fromiter(map(stream_ids.__getitem__, streams), dtype=np.uint64, count=n)
+    stream_id = _coded_column(streams, lambda cell: _check_uint64("stream_id", int(cell)), np.uint64)
     return experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
 
 

@@ -24,10 +24,11 @@ if TYPE_CHECKING:
 MZ_PORTS = ("x", "y")
 
 
-def _check_uint64(name: str, value: int) -> None:
-    """Reject a seed or stream id that cannot key an RngStream."""
+def _check_uint64(name: str, value: int) -> int:
+    """Reject a seed or stream id that cannot key an RngStream; returns value."""
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

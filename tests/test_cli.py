@@ -1,5 +1,10 @@
 """Command-line entry points, exercised in process through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -280,3 +285,23 @@ def test_cli_commands_build_no_event_records(tmp_path, capsys, monkeypatch, pres
     copy = tmp_path / "copy.csv"
     write_events_csv(read_events_csv(events), copy)
     assert copy.read_bytes() == events.read_bytes()
+
+
+def test_the_parser_built_once_keeps_each_command_s_defaults(tmp_path, capsys):
+    events = simulate(tmp_path, "eraser_modulation", 3000)
+    outs = ["--out-hist", tmp_path / "h.csv", "--out-metrics", tmp_path / "m.csv"]
+    assert run("analyze", "--events", events, "--bins", 64, *outs) == 0
+    assert "in 64 bins" in capsys.readouterr().out
+    assert run("analyze", "--events", events, *outs) == 0
+    assert "in 128 bins" in capsys.readouterr().out
+    assert len((tmp_path / "h.csv").read_text().splitlines()) == 129
+
+    eraser = ["eraser", "--events", str(events), "--gamma", "0.5", "--out"]
+    assert run(*eraser, tmp_path / "in_process.csv") == 0
+    in_process = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "fringelab", *eraser, str(tmp_path / "fresh.csv")],
+                           capture_output=True, text=True, env=env, check=True)
+    assert fresh.stdout == in_process
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fringelab import composite
 from fringelab.composite import (
     Branch,
     CompositeState,
@@ -22,7 +24,7 @@ from fringelab.composite import (
     slit_branch_amplitude,
     two_slit_composite,
 )
-from fringelab.wavefield import BeamSpec, TwoSlitGeometry, single_slit_intensity
+from fringelab.wavefield import BeamSpec, ScreenGrid, TwoSlitGeometry, single_slit_intensity
 
 BEAM = BeamSpec(wavelength=500e-9)
 GEO = TwoSlitGeometry(slit_separation=10e-6, slit_width=2e-6, screen_distance=1.0)
@@ -280,3 +282,105 @@ def test_constant_noise_leaves_pattern_exactly_unchanged():
     for value in (0.0, 1.1, -2.9):
         out = ensemble_pattern(state, PhaseNoise.constant(value), 50, rng, x)
         np.testing.assert_array_equal(out, noiseless)
+
+
+# --- slit wave cache ---
+
+
+def _grid():
+    x = np.linspace(-2 * PERIOD, 2 * PERIOD, 301)
+    x[150] = 0.0
+    return x
+
+
+def _negative_zero():
+    x = _grid()
+    x[150] = -0.0
+    return x
+
+
+def _one_ulp_up():
+    x = _grid()
+    x[7] = np.nextafter(x[7], np.inf)
+    return x
+
+
+# (why, geometry, beam, slit, include_envelope, x) of a call that must not
+# reuse the wave of (GEO, BEAM, 1, True, _grid())
+_MISSES = [
+    ("slit_separation", replace(GEO, slit_separation=11e-6), BEAM, 1, True, _grid),
+    ("slit_width", replace(GEO, slit_width=3e-6), BEAM, 1, True, _grid),
+    ("screen_distance", replace(GEO, screen_distance=1.5), BEAM, 1, True, _grid),
+    ("slit_amplitudes", replace(GEO, slit_amplitudes=(0.5, 1.0)), BEAM, 1, True, _grid),
+    ("screen_grid", replace(GEO, screen_grid=ScreenGrid(-0.1, 0.1)), BEAM, 1, True, _grid),
+    ("wavelength", GEO, replace(BEAM, wavelength=600e-9), 1, True, _grid),
+    ("amplitude", GEO, replace(BEAM, amplitude=0.5j), 1, True, _grid),
+    ("slit", GEO, BEAM, 2, True, _grid),
+    ("include_envelope", GEO, BEAM, 1, False, _grid),
+    ("x one ulp up", GEO, BEAM, 1, True, _one_ulp_up),
+    ("x sign of zero", GEO, BEAM, 1, True, _negative_zero),
+    ("x dtype, same bytes", GEO, BEAM, 1, True, lambda: _grid().view(np.int64)),
+    ("x shape", GEO, BEAM, 1, True, lambda: _grid()[:-1]),
+]
+
+
+@pytest.mark.parametrize("why,geometry,beam,slit,envelope,x", _MISSES, ids=[m[0] for m in _MISSES])
+def test_a_changed_argument_computes_a_new_wave(counted_phases, why, geometry, beam, slit, envelope, x):
+    slit_branch_amplitude(GEO, BEAM, 1)(_grid())
+    assert len(counted_phases) == 1
+    x = x()
+    wave = slit_branch_amplitude(geometry, beam, slit, envelope)(x)
+    assert len(counted_phases) == 2
+    fresh = slit_branch_amplitude(geometry, beam, slit, envelope)(x.copy())  # a hit on the new wave
+    assert len(counted_phases) == 2
+    assert fresh is wave
+    composite._slit_waves = (None, {})
+    assert slit_branch_amplitude(geometry, beam, slit, envelope)(x).tobytes() == wave.tobytes()
+
+
+def test_the_sign_of_a_zero_amplitude_computes_a_new_wave(counted_phases):
+    plus = replace(GEO, slit_amplitudes=(1.0, 0j))
+    minus = replace(GEO, slit_amplitudes=(1.0, complex(-0.0, 0.0)))
+    assert plus == minus  # == takes -0.0 for 0.0
+    slit_branch_amplitude(plus, BEAM, 2)(_grid())
+    wave = slit_branch_amplitude(minus, BEAM, 2)(_grid())
+    assert len(counted_phases) == 2
+    composite._slit_waves = (None, {})
+    assert slit_branch_amplitude(minus, BEAM, 2)(_grid()).tobytes() == wave.tobytes()
+
+
+def test_an_x_changed_in_place_computes_a_new_wave(counted_phases):
+    amp = slit_branch_amplitude(GEO, BEAM, 1)
+    x = _grid()
+    before = amp(x)
+    x *= 2.0
+    after = amp(x)
+    assert len(counted_phases) == 2
+    assert not np.array_equal(after, before)
+    composite._slit_waves = (None, {})
+    assert amp(x).tobytes() == after.tobytes()
+
+
+def test_both_slits_share_the_cache_and_a_hit_is_the_same_array(counted_phases):
+    x = _grid()
+    state = two_slit_composite(GEO, BEAM)
+    psi1, psi2 = state.branch1.com_amplitude(x), state.branch2.com_amplitude(x)
+    again = two_slit_composite(GEO, BEAM, detector=overlap_pair(0.3))  # new closures, same waves
+    assert again.branch1.com_amplitude(x) is psi1
+    assert again.branch2.com_amplitude(x) is psi2
+    assert len(counted_phases) == 2
+
+
+def test_kept_waves_are_read_only(counted_phases):
+    amp = slit_branch_amplitude(GEO, BEAM, 1)
+    for wave in (amp(_grid()), amp(_grid())):  # a miss, then a hit
+        assert not wave.flags.writeable
+        with pytest.raises(ValueError):
+            wave[0] = 0.0
+
+
+def test_scalar_positions_are_not_kept(counted_phases):
+    amp = slit_branch_amplitude(GEO, BEAM, 1)
+    assert amp(0.0) == amp(0.0)
+    assert len(counted_phases) == 2
+    assert composite._slit_waves == (None, {})

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from fringelab import experiments
+from fringelab import composite, experiments
+from fringelab.cli import main
 from fringelab.composite import literal_pattern, noise_averaged_pattern
-from fringelab.config import PRESET_NAMES, build_preset, config_digest, parse_config
+from fringelab.config import MZ_SCENARIOS, PRESET_NAMES, build_preset, config_digest, parse_config, serialize_config
 from fringelab.experiments import (
     SAMPLING_CELLS,
     composite_from_config,
@@ -290,3 +291,38 @@ def test_weak_screen_run_with_absorption_replays_the_scalar_loop(monkeypatch, n,
                 port = "x" if rng.random() < px else "y"
                 expected.append(DetectionEvent(len(expected), config.scenario, mz_port=port, stream_id=stream_id))
     assert log.events == tuple(expected)
+
+
+def test_a_sweep_that_keeps_the_geometry_computes_the_slit_waves_once(tmp_path, counted_phases):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset("young_baseline")))
+    argv = ["sweep", "--config", str(cfg), "--param", "detector_overlap", "--from", "0", "--to", "1",
+            "--steps", "5", "--events", "200", "--seed", "2", "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0
+    assert len(counted_phases) == 2  # cold: one wave per slit, then four steps of hits
+    cold = (tmp_path / "sweep.csv").read_bytes()
+    assert main(argv) == 0
+    assert len(counted_phases) == 2  # warm: no new wave
+    assert (tmp_path / "sweep.csv").read_bytes() == cold
+
+
+def test_the_cache_holds_one_geometry(counted_phases):
+    text = serialize_config(build_preset("young_baseline"))
+    for width in (1e-6, 1.5e-6, 2e-6, 2.5e-6, 3e-6):
+        config = parse_config(text, overrides={"geometry.slit_width": repr(width)})
+        run_experiment(config, 50, seed=1)
+    assert len(counted_phases) == 10
+    key, waves = composite._slit_waves
+    assert key[0] == config.geometry
+    assert sorted(waves) == [1, 2]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_cold_and_warm_wave_caches_log_the_same_events(counted_phases, name):
+    config = build_preset(name)
+    cold = run_experiment(config, 500, seed=11, n_streams=2)
+    made = len(counted_phases)
+    warm = run_experiment(config, 500, seed=11, n_streams=2)
+    assert warm == cold
+    assert len(counted_phases) == made  # the second run computed no wave
+    assert made == (0 if name in MZ_SCENARIOS else 2)
