@@ -20,7 +20,6 @@ import numpy as np
 
 from .analysis import (
     HISTOGRAM_FIELDS,
-    FringeHistogram,
     _field_values,
     compute_metrics,
     histogram,
@@ -37,9 +36,8 @@ from .io import (
     write_histogram_pgm,
     write_metrics_csv,
 )
-from .measurement import coincidence_modulate
+from .measurement import coincidence_modulate, eraser_singles
 from .montecarlo import RngStream
-from .wavefield import single_slit_intensity
 
 
 @functools.cache  # built once per process: parsing leaves no state on the parser
@@ -117,6 +115,8 @@ def _check_at_least(option: str, value: int, least: int) -> None:
 
 
 def _auto_field(log) -> str:
+    if not len(log):
+        raise ValueError("event log is empty")
     for field in HISTOGRAM_FIELDS:
         if _field_values(log, field).size:
             return field
@@ -193,12 +193,7 @@ def _cmd_eraser(args: argparse.Namespace) -> int:
         raise ValueError("event log is empty")
     joint = histogram(log, "screen_x", args.bins, _field_range(log, "screen_x"))
     config = build_preset(experiments[0])
-    centers = joint.bin_centers()
-    profile1 = np.asarray(single_slit_intensity(config.geometry, config.beam, 1, centers))
-    profile2 = np.asarray(single_slit_intensity(config.geometry, config.beam, 2, centers))
-    scale = joint.total / (profile1.sum() + profile2.sum())
-    single1 = FringeHistogram(joint.bin_edges, profile1 * scale)
-    single2 = FringeHistogram(joint.bin_edges, profile2 * scale)
+    single1, single2 = eraser_singles(config.geometry, config.beam, joint)
     modulated = coincidence_modulate(joint, single1, single2, args.gamma)
     write_histogram_csv(modulated, args.out)
     v_before = visibility(joint)

@@ -404,13 +404,7 @@ def ensemble_pattern(
     if n_draws < 1:
         raise ValueError(f"ensemble_pattern needs n_draws >= 1, got {n_draws}")
     base, cross = pattern_terms(state, x)
-    if noise.distribution in ("none", "constant"):
-        factor = 1.0 + 0.0j
-    elif noise.independent_per_branch:
-        d1 = noise.draw(rng, n_draws)
-        d2 = noise.draw(rng, n_draws)
-        factor = complex(np.mean(np.exp(1j * (d2 - d1))))
-    else:
-        noise.draw(rng, n_draws)
-        factor = 1.0 + 0.0j
+    d1 = noise.draw(rng, n_draws)
+    d2 = noise.draw(rng, n_draws) if noise.independent_per_branch else d1
+    factor = complex(np.mean(np.exp(1j * (d2 - d1))))
     return base + 2.0 * np.real(cross * factor)

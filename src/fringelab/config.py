@@ -118,7 +118,7 @@ class ExperimentConfig:
                 * self.detector_overlap * cmath.exp(1j * self.detector_overlap_phase))
 
 
-def _default_geometry(TwoSlitGeometry, ) -> TwoSlitGeometry:
+def _default_geometry() -> TwoSlitGeometry:
     return TwoSlitGeometry(
         slit_separation=DEFAULT_SLIT_SEPARATION,
         slit_width=DEFAULT_SLIT_WIDTH,
@@ -154,23 +154,23 @@ def build_preset(name: str) -> ExperimentConfig:
     beam = BeamSpec(wavelength=DEFAULT_WAVELENGTH, amplitude=1.0)
     none = PhaseNoise.none()
     if name == "young_baseline":
-        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), none)
+        return ExperimentConfig(name, beam, _default_geometry(), none)
     if name == "young_random_phase":
-        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), PhaseNoise.uniform(0.0, TWO_PI))
+        return ExperimentConfig(name, beam, _default_geometry(), PhaseNoise.uniform(0.0, TWO_PI))
     if name == "young_internal_incoherent":
-        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), none, internal_overlap=0.0)
+        return ExperimentConfig(name, beam, _default_geometry(), none, internal_overlap=0.0)
     if name == "young_micromaser":
-        return ExperimentConfig(name, beam, _default_geometry(TwoSlitGeometry, ), none, detector_overlap=0.0)
+        return ExperimentConfig(name, beam, _default_geometry(), none, detector_overlap=0.0)
     if name == "young_single_cavity":
         return ExperimentConfig(
-            name, beam, _default_geometry(TwoSlitGeometry, ), none,
+            name, beam, _default_geometry(), none,
             internal_overlap=0.0, detector_overlap=0.0,
             measurement=_uniform_response_operator(),
             pattern_convention="measurement_mediated", single_cavity=True,
         )
     if name == "eraser_modulation":
         return ExperimentConfig(
-            name, beam, _default_geometry(TwoSlitGeometry, ), none,
+            name, beam, _default_geometry(), none,
             detector_overlap=0.0,
             measurement=_uniform_response_operator(),
             pattern_convention="measurement_mediated",

@@ -137,13 +137,11 @@ def _tagged_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tu
     micromaser_record with sample_position.
     """
     grid = _screen_grid(config)
-    state = composite_from_config(config)
     p1, _ = slit_probabilities(config.geometry)
     if config.pattern_convention == "measurement_mediated":
-        profile = np.asarray(measured_signal(config.measurement, state, grid))
-        cdf1 = cdf2 = np.cumsum(profile)
+        cdf1 = cdf2 = np.cumsum(pattern_profile(config, grid))
     else:
-        b1, b2 = state.branches
+        b1, b2 = composite_from_config(config).branches
         cdf1 = np.cumsum(np.abs(np.asarray(b1.com_amplitude(grid))) ** 2)
         cdf2 = np.cumsum(np.abs(np.asarray(b2.com_amplitude(grid))) ** 2)
     if not (cdf1[-1] > 0 and cdf2[-1] > 0):

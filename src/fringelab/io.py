@@ -87,7 +87,7 @@ _PORT_CODES = {"": -1, **{port: code for code, port in enumerate(MZ_PORTS)}}
 
 def _float_column(cells: list[str]) -> np.ndarray:
     """Cells parsed with float(), NaN where a cell is empty; a present
-    value must be finite."""
+    value must be finite, since NaN marks the empty cell."""
     present = list(filter(None, cells)) if "" in cells else cells
     values = np.fromiter(map(float, present), dtype=float, count=len(present))
     finite = np.isfinite(values)
@@ -133,9 +133,10 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     """Columns of consecutive events CSV rows whose first holds event id
     first_id, in EventColumns field order.
 
-    Each check runs on whole columns and raises ValueError without a
-    location. experiments maps each distinct name met so far to the first
-    string that spelled it; new names join it.
+    The cells are decoded here and the block is held to
+    EventColumns.check(); each check runs on whole columns and raises
+    ValueError without a location. experiments maps each distinct name
+    met so far to the first string that spelled it; new names join it.
     """
     n = len(rows)
     # a "\n" cell, which no row can hold, follows each row: every row has
@@ -155,19 +156,11 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     mz_port = _coded_column(ports, _port_code, np.int8)
     cavity1 = _coded_column(cav1, partial(_photon_count, "cavity1_photons"), np.int8)
     cavity2 = _coded_column(cav2, partial(_photon_count, "cavity2_photons"), np.int8)
-    if ((cavity1 < 0) != (cavity2 < 0)).any():
-        raise ValueError("cavity counts must both be present or both empty")
-    if (cavity1 + cavity2 > 1).any():
-        raise ValueError("at most one photon per particle")
     scatter_x, scatter_y = _float_column(scatter_x), _float_column(scatter_y)
-    scattered = ~np.isnan(scatter_x)
-    if (scattered == np.isnan(scatter_y)).any():
-        raise ValueError("scatter cells must both be present or both empty")
-    populated = (~np.isnan(screen_x)).astype(np.int8) + (mz_port >= 0) + scattered
-    if (populated != 1).any():
-        raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
     stream_id = _coded_column(streams, lambda cell: _check_uint64("stream_id", int(cell)), np.uint64)
-    return experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
+    block = experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
+    EventColumns(*block).check()
+    return block
 
 
 def read_events_csv(path: PathLike) -> EventLog:

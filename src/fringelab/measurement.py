@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import FringeHistogram
 from .composite import CompositeState, StateVector
 from .montecarlo import sample_position, sampling_grid
-from .wavefield import BeamSpec, MZGeometry, crossing_intensity
+from .wavefield import BeamSpec, MZGeometry, TwoSlitGeometry, crossing_intensity, single_slit_intensity
 
 MEASUREMENT_MODES = ("center_of_mass", "internal")
 
@@ -273,6 +273,17 @@ def micromaser_record(
     if single_cavity:
         return WhichWayRecord(1 if slit == 1 else 0, 0, single_cavity_mode=True)
     return WhichWayRecord(1 if slit == 1 else 0, 1 if slit == 2 else 0)
+
+
+def eraser_singles(geometry: TwoSlitGeometry, beam: BeamSpec,
+                   joint: FringeHistogram) -> tuple[FringeHistogram, FringeHistogram]:
+    """The per-path singles of a joint screen histogram: each slit's
+    intensity at the bin centers, scaled to hold the joint total together."""
+    centers = joint.bin_centers()
+    profile1 = np.asarray(single_slit_intensity(geometry, beam, 1, centers))
+    profile2 = np.asarray(single_slit_intensity(geometry, beam, 2, centers))
+    scale = joint.total / (profile1.sum() + profile2.sum())
+    return FringeHistogram(joint.bin_edges, profile1 * scale), FringeHistogram(joint.bin_edges, profile2 * scale)
 
 
 def coincidence_modulate(

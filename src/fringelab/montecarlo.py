@@ -149,11 +149,20 @@ class EventColumns(NamedTuple):
         return values[~np.isnan(values)]
 
     def check(self) -> None:
-        """Run the row checks of DetectionEvent() once per column, with its
-        messages: exactly one terminal field per row, and a port code that
-        indexes MZ_PORTS or is -1."""
-        port = self.mz_port
-        populated = (~np.isnan(self.screen_x)).astype(np.int8) + (port >= 0) + ~np.isnan(self.scatter_x)
+        """The one home of the row rules, which read_events_csv,
+        run_experiment and records() all run, once per column: cavity
+        counts both present or both empty, at most one photon, scatter
+        cells both present or both empty, exactly one terminal field, and
+        a port code that indexes MZ_PORTS or is -1."""
+        port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
+        if ((c1 < 0) != (c2 < 0)).any():
+            raise ValueError("cavity counts must both be present or both empty")
+        if (c1 + c2 > 1).any():
+            raise ValueError("at most one photon per particle")
+        scattered = ~np.isnan(self.scatter_x)
+        if (scattered == np.isnan(self.scatter_y)).any():
+            raise ValueError("scatter cells must both be present or both empty")
+        populated = (~np.isnan(self.screen_x)).astype(np.int8) + (port >= 0) + scattered
         if (populated != 1).any():
             raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
         bad = (port < -1) | (port >= len(MZ_PORTS))
@@ -161,9 +170,9 @@ class EventColumns(NamedTuple):
             raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {port[np.argmax(bad)]}")
 
     def records(self) -> tuple[DetectionEvent, ...]:
-        """The rows as DetectionEvents, one field at a time: check() runs
-        the checks of DetectionEvent(), ids are the row numbers, and equal
-        cavity counts share one WhichWayRecord."""
+        """The rows as DetectionEvents, one field at a time: check() holds
+        them to the row rules, ids are the row numbers, and equal cavity
+        counts share one WhichWayRecord."""
         from .measurement import WhichWayRecord  # measurement imports this module
 
         self.check()

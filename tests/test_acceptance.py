@@ -14,7 +14,6 @@ import pytest
 from scipy import stats
 
 from fringelab.analysis import (
-    FringeHistogram,
     histogram,
     local_extrema,
     overlap_distinguishability,
@@ -37,12 +36,11 @@ from fringelab.config import (
 )
 from fringelab.experiments import fringe_window, run_experiment
 from fringelab.io import write_events_csv
-from fringelab.measurement import MeasurementOperator, coincidence_modulate, measured_signal
+from fringelab.measurement import MeasurementOperator, coincidence_modulate, eraser_singles, measured_signal
 from fringelab.wavefield import (
     BeamSpec,
     TwoSlitGeometry,
     mz_port_intensity,
-    single_slit_intensity,
     two_slit_intensity,
 )
 
@@ -276,12 +274,7 @@ def test_coincidence_modulation_erases_fringes_from_one_event_log():
     log = run_experiment(config, LARGE_RUN, seed=21)
     n_bins, value_range = fringe_window(config)
     joint = histogram(log, "screen_x", n_bins, value_range)
-    centers = joint.bin_centers()
-    profile1 = np.asarray(single_slit_intensity(config.geometry, config.beam, 1, centers))
-    profile2 = np.asarray(single_slit_intensity(config.geometry, config.beam, 2, centers))
-    scale = joint.total / (profile1.sum() + profile2.sum())
-    single1 = FringeHistogram(joint.bin_edges, profile1 * scale)
-    single2 = FringeHistogram(joint.bin_edges, profile2 * scale)
+    single1, single2 = eraser_singles(config.geometry, config.beam, joint)
     modulated = coincidence_modulate(joint, single1, single2, 0.0)
 
     v_joint = visibility(joint)

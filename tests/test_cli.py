@@ -10,7 +10,7 @@ import pytest
 
 from fringelab import experiments
 from fringelab.cli import main
-from fringelab.config import build_preset, serialize_config
+from fringelab.config import build_preset, parse_config, serialize_config
 from fringelab.io import (
     EVENTS_HEADER,
     HISTOGRAM_HEADER,
@@ -194,6 +194,28 @@ def test_eraser_empty_log(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(EVENTS_HEADER + "\n")
     assert run("eraser", "--events", empty, "--gamma", 0.0, "--out", tmp_path / "m.csv") == 3
+
+
+@pytest.mark.parametrize("command", ["analyze header-only", "analyze all absorbed", "sweep all absorbed"])
+def test_an_empty_log_is_reported_as_empty(tmp_path, capsys, command):
+    # a weak screen that neither scatters nor transmits absorbs every particle
+    absorbing = parse_config(serialize_config(build_preset("mz_weak_screen")),
+                             overrides={"weak_screen.transmittance": "0", "weak_screen.scatter_fraction": "0"})
+    cfg = tmp_path / "absorbing.cfg"
+    cfg.write_text(serialize_config(absorbing))
+    events = tmp_path / "events.csv"
+    if command == "analyze header-only":
+        events.write_text(EVENTS_HEADER + "\n")
+    elif command == "analyze all absorbed":
+        assert run("simulate", "--config", cfg, "--events", 500, "--seed", 1, "--out", events) == 0
+    if command.startswith("analyze"):
+        code = run("analyze", "--events", events,
+                   "--out-hist", tmp_path / "h.csv", "--out-metrics", tmp_path / "m.csv")
+    else:
+        code = run("sweep", "--config", cfg, "--param", "detector_overlap", "--from", 0.0, "--to", 1.0,
+                   "--steps", 2, "--events", 500, "--seed", 1, "--out", tmp_path / "s.csv")
+    assert code == 3
+    assert capsys.readouterr().err == "fringelab: error: event log is empty\n"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -32,7 +32,7 @@ from fringelab.io import (
     write_metrics_csv,
 )
 from fringelab.measurement import WhichWayRecord
-from fringelab.montecarlo import DetectionEvent, EventLog
+from fringelab.montecarlo import DetectionEvent, EventColumns, EventLog
 
 
 def sample_log():
@@ -264,6 +264,36 @@ def test_analyze_names_the_line_of_a_corrupt_cell(tmp_path, capsys, monkeypatch,
                  "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
     assert code == 3
     assert f"{path}:7: " in capsys.readouterr().err
+
+
+def _one_row(screen_x=np.nan, mz_port=-1, cavity=(-1, -1), scatter=(np.nan, np.nan)):
+    """One-row EventColumns named "run" on stream 0."""
+    return EventColumns(np.array(["run"], dtype=object), np.array([screen_x]), np.array([mz_port], dtype=np.int8),
+                        *np.array([cavity], dtype=np.int8).T, *np.array([scatter], dtype=float).T,
+                        np.zeros(1, dtype=np.uint64))
+
+
+# (rule, the row breaking it as a CSV row, the same row as columns)
+_ROW_RULES = [
+    ("cavity pair", "0,run,0.1,,1,,,,0", _one_row(screen_x=0.1, cavity=(1, -1))),
+    ("photon sum", "0,run,0.1,,1,1,,,0", _one_row(screen_x=0.1, cavity=(1, 1))),
+    ("scatter pair", "0,run,,,,,1e-06,,0", _one_row(scatter=(1e-06, np.nan))),
+    ("terminal field", "0,run,0.1,x,,,,,0", _one_row(screen_x=0.1, mz_port=0)),
+]
+
+
+@pytest.mark.parametrize("rule,row,columns", _ROW_RULES, ids=[rule for rule, _, _ in _ROW_RULES])
+def test_reader_and_columns_hold_a_row_to_the_same_rule(tmp_path, rule, row, columns):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{EVENTS_HEADER}\n{row}\n")
+    with pytest.raises(ValueError) as read:
+        read_events_csv(path)
+    cited = str(read.value)
+    assert cited.startswith(f"{path}:2: ")
+    message = cited[len(f"{path}:2: "):]
+    for entry in (columns.check, columns.records):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry()
 
 
 def test_rows_that_split_into_whole_rows_of_cells_are_rejected(tmp_path):
