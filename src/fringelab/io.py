@@ -57,8 +57,11 @@ def write_events_csv(log: EventLog, path: PathLike) -> None:
     """One row per event, formatted from the log's columns a column at a
     time, WRITE_BLOCK rows per write to a file opened once; no
     DetectionEvent is built. A write cut short leaves whole blocks of
-    rows, which read back as a shorter log."""
+    rows, which read back as a shorter log. The columns are held to
+    EventColumns.check() first, so a log the reader would refuse raises
+    its ValueError and leaves no file."""
     c = log._columns
+    c.check()
     ports = (*MZ_PORTS, "")  # code -1 reads the last cell, the empty one
     counts = ("0", "1", "")
     with open(path, "w", encoding="utf-8", newline="\n") as out:

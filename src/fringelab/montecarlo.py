@@ -105,6 +105,20 @@ DetectionEvent.__setattr__ = _frozen_setattr
 DetectionEvent.__delattr__ = _frozen_delattr
 
 
+#: MZ_PORTS indexed by port code; code -1 takes the last entry, None.
+_PORTS_OR_NONE = np.array((*MZ_PORTS, None), dtype=object)
+
+
+def _spread(present: np.ndarray, values: list) -> list:
+    """values, one per present row in row order, at those rows of a list
+    that holds None at every other row."""
+    if len(values) == present.size:
+        return values
+    spread = [None] * present.size
+    deque(map(spread.__setitem__, np.flatnonzero(present).tolist(), values), maxlen=0)
+    return spread
+
+
 #: The fields column() reads, each from the events that carry it.
 EVENT_FIELDS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_photons",
                 "single_cavity_mode", "scatter_x", "scatter_y")
@@ -139,7 +153,7 @@ class EventColumns(NamedTuple):
         if name == "experiment":
             return self.experiment
         if name == "mz_port":
-            return np.array(MZ_PORTS, dtype=object)[self.mz_port[self.mz_port >= 0]]
+            return _PORTS_OR_NONE[self.mz_port[self.mz_port >= 0]]
         if name == "single_cavity_mode":
             c1, c2 = self.cavity1_photons, self.cavity2_photons
             return ((c1 + c2 == 0) | self.single_cavity)[c1 >= 0]
@@ -150,10 +164,11 @@ class EventColumns(NamedTuple):
 
     def check(self) -> None:
         """The one home of the row rules, which read_events_csv,
-        run_experiment and records() all run, once per column: cavity
-        counts both present or both empty, at most one photon, scatter
-        cells both present or both empty, exactly one terminal field, and
-        a port code that indexes MZ_PORTS or is -1."""
+        write_events_csv, run_experiment and records() all run, once per
+        column: cavity counts both present or both empty, at most one
+        photon, scatter cells both present or both empty, exactly one
+        terminal field, finite screen and scatter values, a port code that
+        indexes MZ_PORTS or is -1, and cavity codes of -1, 0 or 1."""
         port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
         if ((c1 < 0) != (c2 < 0)).any():
             raise ValueError("cavity counts must both be present or both empty")
@@ -165,14 +180,26 @@ class EventColumns(NamedTuple):
         populated = (~np.isnan(self.screen_x)).astype(np.int8) + (port >= 0) + scattered
         if (populated != 1).any():
             raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
+        infinite = np.isinf(self.screen_x)
+        if infinite.any():
+            raise ValueError(f"screen_x must be finite, got {self.screen_x[np.argmax(infinite)].item()!r}")
+        infinite = np.isinf(self.scatter_x) | np.isinf(self.scatter_y)
+        if infinite.any():
+            i = np.argmax(infinite)
+            raise ValueError(f"scatter_xy must be finite, got {(self.scatter_x[i].item(), self.scatter_y[i].item())!r}")
         bad = (port < -1) | (port >= len(MZ_PORTS))
         if bad.any():
             raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {port[np.argmax(bad)]}")
+        for name, codes in (("cavity1_photons", c1), ("cavity2_photons", c2)):
+            bad = (codes < -1) | (codes > 1)
+            if bad.any():
+                raise ValueError(f"{name} must be 0 or 1, got {codes[np.argmax(bad)]}")
 
     def records(self) -> tuple[DetectionEvent, ...]:
-        """The rows as DetectionEvents, one field at a time: check() holds
-        them to the row rules, ids are the row numbers, and equal cavity
-        counts share one WhichWayRecord."""
+        """The rows as DetectionEvents, one field at a time, each field from
+        one take over its column: check() holds them to the row rules, ids
+        are the row numbers, and equal cavity counts share one
+        WhichWayRecord."""
         from .measurement import WhichWayRecord  # measurement imports this module
 
         self.check()
@@ -180,20 +207,21 @@ class EventColumns(NamedTuple):
         screen, scattered = ~np.isnan(self.screen_x), ~np.isnan(self.scatter_x)
         whichway = none
         if (c1 >= 0).any():
-            pairs = list(zip(c1.tolist(), self.cavity2_photons.tolist()))
-            shared = {pair: WhichWayRecord(*pair, single_cavity_mode=self.single_cavity or sum(pair) == 0)
-                      if pair[0] >= 0 else None for pair in set(pairs)}
-            whichway = map(shared.__getitem__, pairs)
+            # check() leaves the count pairs (-1, -1), (0, 0), (0, 1) and (1, 0);
+            # pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1)
+            shared = np.full(9, None, dtype=object)
+            for a, b in ((0, 0), (0, 1), (1, 0)):
+                shared[3 * a + b + 4] = WhichWayRecord(a, b, single_cavity_mode=self.single_cavity or a + b == 0)
+            whichway = shared[3 * c1 + self.cavity2_photons + 4].tolist()
         events = list(map(object.__new__, repeat(DetectionEvent, n)))
         for set_field, values in (
             (_set_event_id, range(n)),
             (_set_experiment, self.experiment.tolist()),
-            (_set_screen_x, none if not screen.any() else self.screen_x.tolist() if screen.all()
-             else [None if x != x else x for x in self.screen_x.tolist()]),
-            (_set_mz_port, map((MZ_PORTS + (None,)).__getitem__, port.tolist()) if (port >= 0).any() else none),
+            (_set_screen_x, none if not screen.any() else _spread(screen, self.screen_x[screen].tolist())),
+            (_set_mz_port, _PORTS_OR_NONE[port].tolist() if (port >= 0).any() else none),
             (_set_whichway, whichway),
-            (_set_scatter_xy, none if not scattered.any() else [
-                None if x != x else (x, y) for x, y in zip(self.scatter_x.tolist(), self.scatter_y.tolist())]),
+            (_set_scatter_xy, none if not scattered.any() else _spread(scattered, list(zip(
+                self.scatter_x[scattered].tolist(), self.scatter_y[scattered].tolist())))),
             (_set_stream_id, self.stream_id.tolist()),
         ):
             deque(map(set_field, events, values), maxlen=0)

@@ -279,6 +279,9 @@ _ROW_RULES = [
     ("photon sum", "0,run,0.1,,1,1,,,0", _one_row(screen_x=0.1, cavity=(1, 1))),
     ("scatter pair", "0,run,,,,,1e-06,,0", _one_row(scatter=(1e-06, np.nan))),
     ("terminal field", "0,run,0.1,x,,,,,0", _one_row(screen_x=0.1, mz_port=0)),
+    ("cavity code", "0,run,0.1,,-2,-2,,,0", _one_row(screen_x=0.1, cavity=(-2, -2))),
+    # 64 + 64 wraps to -128 in int8, under the photon-sum rule's bound
+    ("cavity code past the int8 sum", "0,run,0.1,,64,64,,,0", _one_row(screen_x=0.1, cavity=(64, 64))),
 ]
 
 
@@ -294,6 +297,22 @@ def test_reader_and_columns_hold_a_row_to_the_same_rule(tmp_path, rule, row, col
     for entry in (columns.check, columns.records):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry()
+
+
+# the row faults of _ROW_RULES, and values the reader refuses as cells
+_UNWRITABLE = [*((rule, columns) for rule, _, columns in _ROW_RULES),
+               ("infinite screen_x", _one_row(screen_x=np.inf)),
+               ("infinite scatter", _one_row(scatter=(np.inf, 1.0)))]
+
+
+@pytest.mark.parametrize("fault,columns", _UNWRITABLE, ids=[fault for fault, _ in _UNWRITABLE])
+def test_writer_refuses_a_log_the_reader_refuses_and_leaves_no_file(tmp_path, fault, columns):
+    with pytest.raises(ValueError) as checked:
+        columns.check()
+    path = tmp_path / "events.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(checked.value))}$"):
+        write_events_csv(EventLog(columns=columns), path)
+    assert not path.exists()
 
 
 def test_rows_that_split_into_whole_rows_of_cells_are_rejected(tmp_path):

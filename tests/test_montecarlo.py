@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fringelab.config import PRESET_NAMES, build_preset, parse_config
@@ -232,6 +234,8 @@ def columns_of(screen_x=np.nan, mz_port=-1, scatter_xy=(np.nan, np.nan)):
     ({"screen_x": 0.5, "mz_port": 0}, {"screen_x": 0.5, "mz_port": "x"}),
     ({"screen_x": 0.5, "scatter_xy": (1.0, 2.0)}, {"screen_x": 0.5, "scatter_xy": (1.0, 2.0)}),
     ({"mz_port": 2}, {"mz_port": 2}),
+    ({"screen_x": np.inf}, {"screen_x": np.inf}),
+    ({"scatter_xy": (np.inf, 1.0)}, {"scatter_xy": (np.inf, 1.0)}),
 ])
 def test_bulk_builder_raises_the_constructor_messages(cells, kwargs):
     with pytest.raises(ValueError) as direct:
@@ -239,6 +243,43 @@ def test_bulk_builder_raises_the_constructor_messages(cells, kwargs):
     for build in (columns_of(**cells).check, columns_of(**cells).records):
         with pytest.raises(ValueError, match=f"^{re.escape(str(direct.value))}$"):
             build()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# (screen_x, port code, scatter pair) of each terminal kind
+_TERMINALS = st.one_of(
+    st.builds(lambda x: (x, -1, (np.nan, np.nan)), _FLOATS),
+    st.builds(lambda port: (np.nan, port, (np.nan, np.nan)), st.sampled_from(range(len(MZ_PORTS)))),
+    st.builds(lambda x, y: (np.nan, -1, (x, y)), _FLOATS, _FLOATS),
+)
+_ROWS = st.tuples(st.sampled_from(["run", "young_baseline", "mz_weak_screen", ""]), _TERMINALS,
+                  st.sampled_from([(-1, -1), (0, 0), (0, 1), (1, 0)]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROWS, max_size=30), single_cavity=st.booleans())
+def test_bulk_builder_fills_every_mix_of_rows_as_the_constructor_does(rows, single_cavity):
+    # mixes the presets never make: a partly present screen_x, ports next to
+    # scatter, cavity pair (0, 0) in a log without the single-cavity flag
+    terminals = [terminal for _, terminal, _, _ in rows]
+    columns = EventColumns(
+        np.array([name for name, _, _, _ in rows], dtype=object),
+        np.array([x for x, _, _ in terminals], dtype=float),
+        np.array([port for _, port, _ in terminals], dtype=np.int8),
+        *np.array([pair for _, _, pair, _ in rows], dtype=np.int8).reshape(-1, 2).T,
+        *np.array([xy for _, _, xy in terminals], dtype=float).reshape(-1, 2).T,
+        np.array([stream for _, _, _, stream in rows], dtype=np.uint64),
+        single_cavity=single_cavity,
+    )
+    got, expected = columns.records(), one_by_one(columns)
+    assert got == expected
+    assert [hash(e) for e in got] == [hash(e) for e in expected]
+    assert [repr(e) for e in got] == [repr(e) for e in expected]
+    ids, expected_ids = {}, {}
+    for event, want in zip(got, expected):
+        assert ids.setdefault(id(event.whichway), id(want.whichway)) == id(want.whichway)
+        assert expected_ids.setdefault(id(want.whichway), id(event.whichway)) == id(event.whichway)
+    assert len(ids) == len({pair for _, _, pair, _ in rows})
 
 
 def test_bulk_builder_reads_only_port_code_minus_one_as_no_port():
