@@ -68,4 +68,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

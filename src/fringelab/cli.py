@@ -2,7 +2,7 @@
 
 No command builds a DetectionEvent: simulate and sweep run experiments
 with records=False, and analyze and eraser read the events CSV into
-columns.
+columns. Each log's rows are checked once, when its EventLog is built.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
 value, unknown preset, out-of-range seed or count), 3 runtime failure

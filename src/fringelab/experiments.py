@@ -15,14 +15,14 @@ Per-event uniforms by scenario family:
   (port) when transmitted; absorbed particles end after one draw and
   leave no record, so those runs can log fewer events than particles.
 
-Generators emit a stream's events as numpy columns, which are joined and
-checked once; run_experiment then builds the records from them in one
-bulk pass, unless the caller (the command line) asks for the columns
-alone. Weak-screen runs read their uniforms ahead in blocks and then
-walk the variable strides (3, 2 or 1 uniforms per particle) through the
-block, so their output equals the per-particle loop over
-weak_screen_interact and a port draw; only the stream's position after
-the run differs.
+Generators emit a stream's events as numpy columns, which are joined
+into one EventLog, whose constructor checks them once; run_experiment
+then builds the log's records in one bulk pass, unless the caller (the
+command line) asks for the columns alone. Weak-screen runs read their
+uniforms ahead in blocks and then walk the variable strides (3, 2 or 1
+uniforms per particle) through the block, so their output equals the
+per-particle loop over weak_screen_interact and a port draw; only the
+stream's position after the run differs.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ def run_experiment(
     scenario can absorb a particle without a record, every other
     scenario logs exactly one event per particle. The log holds the
     columns and the records built from them. With records=False, as the
-    command line calls it, the columns are checked and the records are
-    left to a first read of log.events.
+    command line calls it, the records are left to a first read of
+    log.events.
     """
     if n_events < 1:
         raise ValueError(f"n_events must be at least 1, got {n_events}")
@@ -246,12 +246,10 @@ def run_experiment(
         for s in range(min(n_streams, n_events))
     )
     columns = EventColumns(*map(np.concatenate, zip(*streams)), single_cavity=config.single_cavity)
-    log = EventLog(columns=columns, config_digest=config_digest(config))
+    log = EventLog(columns, config_digest(config))
     if records:
         # builds the records here, for the benchmark's weak_screen step, which reads
         # log.events; once it reads log.column("mz_port"), this branch and the
         # records parameter go
-        log.events  # EventColumns.records() checks the columns first
-    else:
-        columns.check()
+        log.events
     return log

@@ -4,7 +4,8 @@ All writers are byte-deterministic: identical inputs produce identical
 files. Floats are written with repr(), the shortest digit string that
 round-trips, and lines always end with a bare newline. The events CSV
 is written from a log's EventColumns and read back into them; neither
-direction builds a DetectionEvent.
+direction builds a DetectionEvent. The reader only decodes cells; the
+EventLog it builds holds them to the row rules, EventColumns.check().
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ def write_events_csv(log: EventLog, path: PathLike) -> None:
     """One row per event, formatted from the log's columns a column at a
     time, WRITE_BLOCK rows per write to a file opened once; no
     DetectionEvent is built. A write cut short leaves whole blocks of
-    rows, which read back as a shorter log. The columns are held to
-    EventColumns.check() first, so a log the reader would refuse raises
-    its ValueError and leaves no file."""
+    rows, which read back as a shorter log. No log holds columns the
+    reader would refuse: EventLog checked them when it was built."""
     c = log._columns
-    c.check()
     ports = (*MZ_PORTS, "")  # code -1 reads the last cell, the empty one
     counts = ("0", "1", "")
     with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -136,10 +135,9 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     """Columns of consecutive events CSV rows whose first holds event id
     first_id, in EventColumns field order.
 
-    The cells are decoded here and the block is held to
-    EventColumns.check(); each check runs on whole columns and raises
-    ValueError without a location. experiments maps each distinct name
-    met so far to the first string that spelled it; new names join it.
+    Only the cells are decoded here; each decode runs on whole columns and
+    raises ValueError without a location. experiments maps each distinct
+    name met so far to the first string that spelled it; new names join it.
     """
     n = len(rows)
     # a "\n" cell, which no row can hold, follows each row: every row has
@@ -161,22 +159,21 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     cavity2 = _coded_column(cav2, partial(_photon_count, "cavity2_photons"), np.int8)
     scatter_x, scatter_y = _float_column(scatter_x), _float_column(scatter_y)
     stream_id = _coded_column(streams, lambda cell: _check_uint64("stream_id", int(cell)), np.uint64)
-    block = experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
-    EventColumns(*block).check()
-    return block
+    return experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
 
 
 def read_events_csv(path: PathLike) -> EventLog:
     """Parse an events CSV into a column-backed log.
 
     The file does not carry the configuration digest, so the returned
-    log's digest is empty. Which-way rows with zero total photons can
-    only come from single-cavity tagging, so that mode flag is restored
-    from the counts themselves. Rows are parsed READ_BLOCK at a time, cell
-    values with int() and float(); when a block fails a check, its rows
-    are parsed one by one to find the first bad one, and the ValueError
-    cites its path:line, as does a non-UTF-8 byte. Blank lines are skipped
-    but counted.
+    log's digest is empty. Nor does it carry the single-cavity flag: rows
+    with zero total photons can only come from single-cavity tagging and
+    read back in that mode, but a young_single_cavity log's slit-1 rows
+    (counts 1, 0) read back outside it. Rows are decoded READ_BLOCK at a
+    time, cell values with int() and float(), into one EventLog, which
+    checks them once. When a block fails to decode or the log refuses a
+    row, the ValueError cites the first bad row's path:line, as does a
+    non-UTF-8 byte. Blank lines are skipped but counted.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -190,20 +187,28 @@ def read_events_csv(path: PathLike) -> EventLog:
         lines = [line for line in lines if line]
     experiments: dict[str, str] = {}
     blocks = []
-    # an empty log still parses one (empty) block, for the column dtypes
-    for first in range(1, max(len(lines), 2), READ_BLOCK):
-        rows = lines[first:first + READ_BLOCK]
-        try:
-            blocks.append(_parse_block(rows, first - 1, experiments))
-        except ValueError:
-            for offset, row in enumerate(rows):
-                try:
-                    _parse_block([row], first - 1 + offset, experiments)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{linenos[first + offset]}: {exc}") from exc
-            raise
-    columns = [np.concatenate(column) for column in zip(*blocks)]
-    return EventLog(columns=EventColumns(*columns))
+    try:
+        # an empty log still parses one (empty) block, for the column dtypes
+        for first in range(1, max(len(lines), 2), READ_BLOCK):
+            blocks.append(_parse_block(lines[first:first + READ_BLOCK], first - 1, experiments))
+        return EventLog(EventColumns(*map(np.concatenate, zip(*blocks))))
+    except ValueError:
+        # the first decoded block that fails the row rules, or else the block
+        # after them, which failed to decode, is parsed again row by row
+        bad = len(blocks)
+        for k, block in enumerate(blocks):
+            try:
+                EventColumns(*block).check()
+            except ValueError:
+                bad = k
+                break
+        first = 1 + bad * READ_BLOCK
+        for offset, row in enumerate(lines[first:first + READ_BLOCK]):
+            try:
+                EventColumns(*_parse_block([row], first - 1 + offset, experiments)).check()
+            except ValueError as exc:
+                raise ValueError(f"{path}:{linenos[first + offset]}: {exc}") from exc
+        raise
 
 
 def write_histogram_csv(h: FringeHistogram, path: PathLike) -> None:

@@ -1,4 +1,4 @@
-"""Seeded random streams, detection-event records, and position sampling.
+"""Seeded random streams, the event log, and position sampling.
 
 Reproducibility contract: all randomness flows through numpy Generators
 built on the Philox 4x64 counter-based bit generator, keyed by the pair
@@ -10,7 +10,6 @@ partitioned across streams and merged deterministically.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
@@ -49,7 +48,8 @@ class RngStream:
 
 @dataclass(frozen=True, slots=True)
 class DetectionEvent:
-    """One terminal detector record.
+    """One row of an EventLog as a read-only record, built by log.events
+    from columns that passed EventColumns.check(); it checks nothing.
 
     Exactly one of screen_x, mz_port, scatter_xy is set; whichway is
     populated only when the experiment configured a recording mechanism.
@@ -64,22 +64,8 @@ class DetectionEvent:
     scatter_xy: Optional[tuple[float, float]] = None
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.event_id < 0:
-            raise ValueError("event_id must be nonnegative")
-        populated = (self.screen_x is not None) + (self.mz_port is not None) + (self.scatter_xy is not None)
-        if populated != 1:
-            raise ValueError(f"exactly one terminal field must be set, got {populated}")
-        if self.screen_x is not None and not math.isfinite(self.screen_x):
-            raise ValueError(f"screen_x must be finite, got {self.screen_x!r}")
-        if self.scatter_xy is not None and not all(map(math.isfinite, self.scatter_xy)):
-            raise ValueError(f"scatter_xy must be finite, got {self.scatter_xy!r}")
-        if self.mz_port is not None and self.mz_port not in MZ_PORTS:
-            raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {self.mz_port!r}")
-        _check_uint64("stream_id", self.stream_id)
 
-
-# The slots' own setters, for EventColumns.records: they bypass the frozen
+# The slots' own setters, for _records: they bypass the frozen
 # __setattr__, as the generated __init__ does through object.__setattr__.
 _set_event_id = DetectionEvent.event_id.__set__
 _set_experiment = DetectionEvent.experiment.__set__
@@ -127,13 +113,13 @@ EVENT_FIELDS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2
 class EventColumns(NamedTuple):
     """An event log as one numpy array per field; entry i is event i.
 
-    This is the one store behind EventLog, and the format io writes and
-    reads. The float columns hold NaN, and the port and cavity columns -1,
-    where an event does not carry the field; mz_port indexes MZ_PORTS,
-    stream_id is uint64, and experiment holds one shared string per
-    distinct name. A row with cavity counts is a which-way record, in
-    single-cavity mode when single_cavity is set (a single-cavity run) or
-    both counts are 0.
+    This is the one store behind EventLog, which holds them to check(),
+    and the format io writes and reads. The float columns hold NaN, and
+    the port and cavity columns -1, where an event does not carry the
+    field; mz_port indexes MZ_PORTS, stream_id is uint64, and experiment
+    holds one shared string per distinct name. A row with cavity counts is
+    a which-way record, in single-cavity mode when single_cavity is set (a
+    single-cavity run) or both counts are 0.
     """
 
     experiment: np.ndarray
@@ -163,12 +149,12 @@ class EventColumns(NamedTuple):
         return values[~np.isnan(values)]
 
     def check(self) -> None:
-        """The one home of the row rules, which read_events_csv,
-        write_events_csv, run_experiment and records() all run, once per
-        column: cavity counts both present or both empty, at most one
-        photon, scatter cells both present or both empty, exactly one
-        terminal field, finite screen and scatter values, a port code that
-        indexes MZ_PORTS or is -1, and cavity codes of -1, 0 or 1."""
+        """The one home of the row rules, which EventLog's constructor runs,
+        each over whole columns: cavity counts both present or both empty,
+        at most one photon, scatter cells both present or both empty,
+        exactly one terminal field, finite screen and scatter values, a
+        port code that indexes MZ_PORTS or is -1, and cavity codes of -1, 0
+        or 1."""
         port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
         if ((c1 < 0) != (c2 < 0)).any():
             raise ValueError("cavity counts must both be present or both empty")
@@ -195,83 +181,59 @@ class EventColumns(NamedTuple):
             if bad.any():
                 raise ValueError(f"{name} must be 0 or 1, got {codes[np.argmax(bad)]}")
 
-    def records(self) -> tuple[DetectionEvent, ...]:
-        """The rows as DetectionEvents, one field at a time, each field from
-        one take over its column: check() holds them to the row rules, ids
-        are the row numbers, and equal cavity counts share one
-        WhichWayRecord."""
-        from .measurement import WhichWayRecord  # measurement imports this module
 
-        self.check()
-        n, port, c1, none = self.experiment.size, self.mz_port, self.cavity1_photons, repeat(None)
-        screen, scattered = ~np.isnan(self.screen_x), ~np.isnan(self.scatter_x)
-        whichway = none
-        if (c1 >= 0).any():
-            # check() leaves the count pairs (-1, -1), (0, 0), (0, 1) and (1, 0);
-            # pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1)
-            shared = np.full(9, None, dtype=object)
-            for a, b in ((0, 0), (0, 1), (1, 0)):
-                shared[3 * a + b + 4] = WhichWayRecord(a, b, single_cavity_mode=self.single_cavity or a + b == 0)
-            whichway = shared[3 * c1 + self.cavity2_photons + 4].tolist()
-        events = list(map(object.__new__, repeat(DetectionEvent, n)))
-        for set_field, values in (
-            (_set_event_id, range(n)),
-            (_set_experiment, self.experiment.tolist()),
-            (_set_screen_x, none if not screen.any() else _spread(screen, self.screen_x[screen].tolist())),
-            (_set_mz_port, _PORTS_OR_NONE[port].tolist() if (port >= 0).any() else none),
-            (_set_whichway, whichway),
-            (_set_scatter_xy, none if not scattered.any() else _spread(scattered, list(zip(
-                self.scatter_x[scattered].tolist(), self.scatter_y[scattered].tolist())))),
-            (_set_stream_id, self.stream_id.tolist()),
-        ):
-            deque(map(set_field, events, values), maxlen=0)
-        return tuple(events)
+def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
+    """The rows of checked columns c as DetectionEvents, one field at a
+    time, each field from one take over its column: ids are the row
+    numbers, and equal cavity counts share one WhichWayRecord."""
+    from .measurement import WhichWayRecord  # measurement imports this module
 
-    @classmethod
-    def from_records(cls, events: tuple[DetectionEvent, ...]) -> "EventColumns":
-        """The columns of records, the inverse of records(); single_cavity is
-        set when any which-way record is in single-cavity mode, as in a run."""
-        names: dict[str, str] = {}  # one shared string per distinct name
-        whichway = [e.whichway for e in events]
-        counts = [(-1, -1) if ww is None else (ww.cavity1_photons, ww.cavity2_photons) for ww in whichway]
-        scatter = [(np.nan, np.nan) if e.scatter_xy is None else e.scatter_xy for e in events]
-        return cls(
-            np.array([names.setdefault(e.experiment, e.experiment) for e in events], dtype=object),
-            np.array([np.nan if e.screen_x is None else e.screen_x for e in events], dtype=float),
-            np.array([-1 if e.mz_port is None else MZ_PORTS.index(e.mz_port) for e in events], dtype=np.int8),
-            *np.array(counts, dtype=np.int8).reshape(-1, 2).T,
-            *np.array(scatter, dtype=float).reshape(-1, 2).T,
-            np.array([e.stream_id for e in events], dtype=np.uint64),
-            single_cavity=any(ww is not None and ww.single_cavity_mode for ww in whichway),
-        )
+    n, port, c1, none = c.experiment.size, c.mz_port, c.cavity1_photons, repeat(None)
+    screen, scattered = ~np.isnan(c.screen_x), ~np.isnan(c.scatter_x)
+    whichway = none
+    if (c1 >= 0).any():
+        # check() leaves the count pairs (-1, -1), (0, 0), (0, 1) and (1, 0);
+        # pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1)
+        shared = np.full(9, None, dtype=object)
+        for a, b in ((0, 0), (0, 1), (1, 0)):
+            shared[3 * a + b + 4] = WhichWayRecord(a, b, single_cavity_mode=c.single_cavity or a + b == 0)
+        whichway = shared[3 * c1 + c.cavity2_photons + 4].tolist()
+    events = list(map(object.__new__, repeat(DetectionEvent, n)))
+    for set_field, values in (
+        (_set_event_id, range(n)),
+        (_set_experiment, c.experiment.tolist()),
+        (_set_screen_x, none if not screen.any() else _spread(screen, c.screen_x[screen].tolist())),
+        (_set_mz_port, _PORTS_OR_NONE[port].tolist() if (port >= 0).any() else none),
+        (_set_whichway, whichway),
+        (_set_scatter_xy, none if not scattered.any() else _spread(scattered, list(zip(
+            c.scatter_x[scattered].tolist(), c.scatter_y[scattered].tolist())))),
+        (_set_stream_id, c.stream_id.tolist()),
+    ):
+        deque(map(set_field, events, values), maxlen=0)
+    return tuple(events)
 
 
 class EventLog:
     """Ordered detection events plus the hash of the producing config.
 
-    The log's data are its EventColumns: run_experiment and
-    read_events_csv build those, and a log built from DetectionEvents
-    converts them to columns once. column() reads one field of them.
-    events is a cached view: the records the log was built from, or
-    those EventColumns.records() builds on first access. Logs are
-    immutable and compare equal when their config digests and columns
-    are equal, NaN cells equal to NaN.
+    A log is built from its EventColumns only: the constructor holds them
+    to EventColumns.check() and makes them read-only, so every log, from
+    run_experiment, read_events_csv or hand-built columns, keeps rows that
+    passed the row rules once. column() reads one field of them. events
+    is a read-only view: the DetectionEvents built from the checked
+    columns on first access, then kept. Logs are immutable and compare
+    equal when their config digests and columns are equal, NaN cells
+    equal to NaN.
     """
 
     __slots__ = ("config_digest", "_events", "_columns")
 
-    def __init__(self, events: Optional[tuple[DetectionEvent, ...]] = None, config_digest: str = "", *,
-                 columns: Optional[EventColumns] = None) -> None:
-        if (events is None) == (columns is None):
-            raise ValueError("an event log is built from its events or from its columns")
-        if events is not None:
-            events = tuple(events)
-            for i, e in enumerate(events):
-                if e.event_id != i:
-                    raise ValueError(f"event ids must be dense from 0; position {i} holds id {e.event_id}")
-            columns = EventColumns.from_records(events)
+    def __init__(self, columns: EventColumns, config_digest: str = "") -> None:
+        columns.check()
+        for column in columns[:-1]:
+            column.flags.writeable = False
         object.__setattr__(self, "config_digest", config_digest)
-        object.__setattr__(self, "_events", events)
+        object.__setattr__(self, "_events", None)
         object.__setattr__(self, "_columns", columns)
 
     __setattr__ = _frozen_setattr
@@ -280,7 +242,7 @@ class EventLog:
     @property
     def events(self) -> tuple[DetectionEvent, ...]:
         if self._events is None:
-            object.__setattr__(self, "_events", self._columns.records())
+            object.__setattr__(self, "_events", _records(self._columns))
         return self._events
 
     def column(self, name: str) -> np.ndarray:

@@ -69,7 +69,7 @@ def overlap_sweep():
             "geometry.slit_width": repr(2e-7),
             "detector_overlap": repr(c),
         })
-        log = run_experiment(config, LARGE_RUN, seed=31)
+        log = run_experiment(config, LARGE_RUN, seed=31, records=False)
         n_bins, value_range = fringe_window(config)
         v = visibility(histogram(log, "screen_x", n_bins, value_range))
         assert v.present, v.flag
@@ -113,16 +113,16 @@ def test_interferometer_ports_follow_the_phase_and_flatten_without_the_recombine
         config = parse_config(base, overrides={"mz.phase_difference": repr(float(phi))})
         p = mz_port_intensity(config.geometry, config.beam, "x")
         worst_analytic = max(worst_analytic, abs(p - (1.0 + math.cos(phi)) / 2.0))
-        log = run_experiment(config, EVENTS_PER_PORT_POINT, seed=52 + i)
-        n_x = sum(1 for e in log.events if e.mz_port == "x")
+        log = run_experiment(config, EVENTS_PER_PORT_POINT, seed=52 + i, records=False)
+        n_x = int(np.count_nonzero(log.column("mz_port") == "x"))
         sigma = math.sqrt(EVENTS_PER_PORT_POINT * p * (1.0 - p)) or 1.0
         worst_z = max(worst_z, abs(n_x - EVENTS_PER_PORT_POINT * p) / sigma)
     base_absent = serialize_config(build_preset("mz_without_bs2"))
     worst_z_absent = 0.0
     for i, phi in enumerate(np.linspace(0.0, 2 * math.pi, 8, endpoint=False)):
         config = parse_config(base_absent, overrides={"mz.phase_difference": repr(float(phi))})
-        log = run_experiment(config, EVENTS_PER_PORT_POINT, seed=1052 + i)
-        n_x = sum(1 for e in log.events if e.mz_port == "x")
+        log = run_experiment(config, EVENTS_PER_PORT_POINT, seed=1052 + i, records=False)
+        n_x = int(np.count_nonzero(log.column("mz_port") == "x"))
         worst_z_absent = max(
             worst_z_absent,
             abs(n_x - EVENTS_PER_PORT_POINT / 2.0) / math.sqrt(EVENTS_PER_PORT_POINT * 0.25),
@@ -140,11 +140,12 @@ def test_interferometer_ports_follow_the_phase_and_flatten_without_the_recombine
 
 def test_weak_screen_splits_99_to_1_with_fringed_scatter_and_tagged_transmissions():
     config = build_preset("mz_weak_screen")
-    log = run_experiment(config, LARGE_RUN, seed=41)
-    transmitted = [e for e in log.events if e.mz_port is not None]
-    scattered = [e for e in log.events if e.scatter_xy is not None]
+    log = run_experiment(config, LARGE_RUN, seed=41, records=False)
+    # the ports of the transmitted rows and the scatter x of the scattered ones;
+    # the log's row rules hold every row to one terminal field
+    transmitted, scattered = log.column("mz_port"), log.column("scatter_x")
     z_t = abs(len(transmitted) - LARGE_RUN * 0.99) / math.sqrt(LARGE_RUN * 0.99 * 0.01)
-    tagged = all(e.mz_port in ("x", "y") and e.scatter_xy is None for e in transmitted)
+    tagged = set(transmitted.tolist()) <= {"x", "y"}
     disjoint = len(transmitted) + len(scattered) == len(log)
 
     wavelength = config.beam.wavelength
@@ -271,7 +272,7 @@ def test_measurement_modes_scale_null_or_reproduce_the_fringe_term():
 
 def test_coincidence_modulation_erases_fringes_from_one_event_log():
     config = build_preset("eraser_modulation")
-    log = run_experiment(config, LARGE_RUN, seed=21)
+    log = run_experiment(config, LARGE_RUN, seed=21, records=False)
     n_bins, value_range = fringe_window(config)
     joint = histogram(log, "screen_x", n_bins, value_range)
     single1, single2 = eraser_singles(config.geometry, config.beam, joint)

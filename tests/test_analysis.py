@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import event_columns
 
 from fringelab.analysis import (
     _FIELD_COLUMNS,
@@ -25,15 +26,11 @@ from fringelab.analysis import (
 from fringelab.config import PRESET_NAMES, build_preset
 from fringelab.experiments import run_experiment
 from fringelab.io import read_events_csv, write_events_csv
-from fringelab.measurement import WhichWayRecord
-from fringelab.montecarlo import DetectionEvent, EventLog
+from fringelab.montecarlo import EventLog
 
 
 def screen_log(values):
-    events = tuple(
-        DetectionEvent(i, "run", screen_x=float(v)) for i, v in enumerate(values)
-    )
-    return EventLog(events)
+    return EventLog(event_columns(*(("run", float(v)) for v in values)))
 
 
 def cosine_histogram(contrast, n_periods=3, bins_per_period=8, level=1000.0):
@@ -190,23 +187,16 @@ def test_profile_visibility_basics():
 
 
 def test_distinguishability_two_cavity_records_determine_paths():
-    events = tuple(
-        DetectionEvent(i, "run", screen_x=0.0, whichway=WhichWayRecord(1, 0) if i % 2 else WhichWayRecord(0, 1))
-        for i in range(10)
-    )
-    d = distinguishability(EventLog(events))
+    pairs = [(1, 0) if i % 2 else (0, 1) for i in range(10)]
+    log = EventLog(event_columns(*(("run", 0.0, None, c1, c2) for c1, c2 in pairs)))
+    d = distinguishability(log)
     assert d.value == 1.0
 
 
 def test_distinguishability_single_cavity_counts_absences():
-    events = tuple(
-        DetectionEvent(
-            i, "run", screen_x=0.0,
-            whichway=WhichWayRecord(1 if i % 3 == 0 else 0, 0, single_cavity_mode=True),
-        )
-        for i in range(9)
-    )
-    d = distinguishability(EventLog(events))
+    log = EventLog(event_columns(*(("run", 0.0, None, 1 if i % 3 == 0 else 0, 0) for i in range(9)),
+                                 single_cavity=True))
+    d = distinguishability(log)
     assert d.value == 1.0
 
 
@@ -238,7 +228,7 @@ def test_compute_metrics_bundles_and_skips_duality_when_flagged():
     metrics = compute_metrics(h, log)
     assert metrics.visibility.present
     assert metrics.duality is None  # no which-way records
-    tagged = EventLog((DetectionEvent(0, "run", screen_x=0.0, whichway=WhichWayRecord(1, 0)),))
+    tagged = EventLog(event_columns(("run", 0.0, None, 1, 0)))
     metrics = compute_metrics(h, tagged)
     assert isinstance(metrics.duality, DualityResult)
     assert metrics.duality.lhs == pytest.approx(0.25 + 1.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fringelab import experiments
+from fringelab import experiments, montecarlo
 from fringelab.cli import main
 from fringelab.config import build_preset, parse_config, serialize_config
 from fringelab.io import (
@@ -19,7 +19,7 @@ from fringelab.io import (
     read_events_csv,
     write_events_csv,
 )
-from fringelab.montecarlo import DetectionEvent, EventColumns
+from fringelab.montecarlo import DetectionEvent
 
 
 def run(*argv):
@@ -298,9 +298,9 @@ def test_cli_commands_build_no_event_records(tmp_path, capsys, monkeypatch, pres
     def no_records(self, *args, **kwargs):
         raise AssertionError("a DetectionEvent was built")
 
-    # records come one at a time from __init__ or in bulk from EventColumns.records
+    # records come one at a time from __init__ or in bulk from log.events
     monkeypatch.setattr(DetectionEvent, "__init__", no_records)
-    monkeypatch.setattr(EventColumns, "records", no_records)
+    monkeypatch.setattr(montecarlo, "_records", no_records)
     for argv in commands:
         assert run(*argv) == 0
     assert (capsys.readouterr().out, [(tmp_path / name).read_bytes() for name in outputs]) == expected

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fringelab import composite, experiments
+from fringelab import composite, experiments, montecarlo
 from fringelab.cli import main
 from fringelab.composite import literal_pattern, noise_averaged_pattern
 from fringelab.config import MZ_SCENARIOS, PRESET_NAMES, build_preset, config_digest, parse_config, serialize_config
@@ -16,7 +16,7 @@ from fringelab.experiments import (
     slit_probabilities,
 )
 from fringelab.measurement import measured_signal, micromaser_record, midline_profile, weak_screen_interact
-from fringelab.montecarlo import DetectionEvent, EventColumns, RngStream, sample_position, sample_positions, sampling_grid
+from fringelab.montecarlo import DetectionEvent, RngStream, sample_position, sample_positions, sampling_grid
 from fringelab.wavefield import mz_port_intensity
 
 
@@ -126,10 +126,10 @@ def test_a_run_without_records_logs_the_same_columns(monkeypatch, name):
     config = build_preset(name)
     full = run_experiment(config, 300, seed=5, n_streams=2)
 
-    def no_records(self):
+    def no_records(c):
         raise AssertionError("records were built")
 
-    monkeypatch.setattr(EventColumns, "records", no_records)
+    monkeypatch.setattr(montecarlo, "_records", no_records)
     bare = run_experiment(config, 300, seed=5, n_streams=2, records=False)
     assert bare == full
     monkeypatch.undo()

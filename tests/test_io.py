@@ -1,6 +1,5 @@
 """File formats: events CSV round-trips, histogram/metrics CSV, PGM bytes."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import event_columns
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -31,19 +31,17 @@ from fringelab.io import (
     write_histogram_pgm,
     write_metrics_csv,
 )
-from fringelab.measurement import WhichWayRecord
-from fringelab.montecarlo import DetectionEvent, EventColumns, EventLog
+from fringelab.montecarlo import EventColumns, EventLog
 
 
 def sample_log():
-    events = (
-        DetectionEvent(0, "mixed", screen_x=-0.012345),
-        DetectionEvent(1, "mixed", mz_port="y"),
-        DetectionEvent(2, "mixed", screen_x=0.5, whichway=WhichWayRecord(1, 0), stream_id=3),
-        DetectionEvent(3, "mixed", screen_x=0.25, whichway=WhichWayRecord(0, 0, single_cavity_mode=True)),
-        DetectionEvent(4, "mixed", scatter_xy=(1.5e-6, 1.0e-6)),
-    )
-    return EventLog(events)
+    return EventLog(event_columns(
+        ("mixed", -0.012345),
+        ("mixed", None, "y"),
+        ("mixed", 0.5, None, 1, 0, None, None, 3),
+        ("mixed", 0.25, None, 0, 0),
+        ("mixed", None, None, None, None, 1.5e-6, 1.0e-6),
+    ))
 
 
 def test_events_round_trip_preserves_every_field(tmp_path):
@@ -66,14 +64,14 @@ def test_events_header_is_stable(tmp_path):
 
 def test_empty_log_writes_header_only(tmp_path):
     path = tmp_path / "events.csv"
-    write_events_csv(EventLog(()), path)
+    write_events_csv(EventLog(event_columns()), path)
     assert path.read_text() == EVENTS_HEADER + "\n"
     assert len(read_events_csv(path)) == 0
 
 
 def test_single_event_is_two_lines(tmp_path):
     path = tmp_path / "events.csv"
-    write_events_csv(EventLog((DetectionEvent(0, "run", screen_x=0.1),)), path)
+    write_events_csv(EventLog(event_columns(("run", 0.1))), path)
     assert len(path.read_text().splitlines()) == 2
 
 
@@ -104,7 +102,7 @@ def test_floats_round_trip_exactly(tmp_path):
     # repr() is the shortest string that parses back to the same double
     value = 0.1 + 0.2
     path = tmp_path / "events.csv"
-    write_events_csv(EventLog((DetectionEvent(0, "run", screen_x=value),)), path)
+    write_events_csv(EventLog(event_columns(("run", value))), path)
     again = read_events_csv(path)
     assert again.events[0].screen_x == value
 
@@ -132,7 +130,7 @@ def test_reader_rejects_half_cavity_rows(tmp_path):
 
 def test_reader_restores_single_cavity_mode(tmp_path):
     path = tmp_path / "events.csv"
-    log = EventLog((DetectionEvent(0, "run", screen_x=0.1, whichway=WhichWayRecord(0, 0, single_cavity_mode=True)),))
+    log = EventLog(event_columns(("run", 0.1, None, 0, 0)))
     write_events_csv(log, path)
     again = read_events_csv(path)
     assert again.events[0].whichway.single_cavity_mode
@@ -266,53 +264,77 @@ def test_analyze_names_the_line_of_a_corrupt_cell(tmp_path, capsys, monkeypatch,
     assert f"{path}:7: " in capsys.readouterr().err
 
 
-def _one_row(screen_x=np.nan, mz_port=-1, cavity=(-1, -1), scatter=(np.nan, np.nan)):
-    """One-row EventColumns named "run" on stream 0."""
-    return EventColumns(np.array(["run"], dtype=object), np.array([screen_x]), np.array([mz_port], dtype=np.int8),
-                        *np.array([cavity], dtype=np.int8).T, *np.array([scatter], dtype=float).T,
-                        np.zeros(1, dtype=np.uint64))
-
-
-# (rule, the row breaking it as a CSV row, the same row as columns)
+# (rule, the row breaking it as a CSV row, the same row as columns, the message)
 _ROW_RULES = [
-    ("cavity pair", "0,run,0.1,,1,,,,0", _one_row(screen_x=0.1, cavity=(1, -1))),
-    ("photon sum", "0,run,0.1,,1,1,,,0", _one_row(screen_x=0.1, cavity=(1, 1))),
-    ("scatter pair", "0,run,,,,,1e-06,,0", _one_row(scatter=(1e-06, np.nan))),
-    ("terminal field", "0,run,0.1,x,,,,,0", _one_row(screen_x=0.1, mz_port=0)),
-    ("cavity code", "0,run,0.1,,-2,-2,,,0", _one_row(screen_x=0.1, cavity=(-2, -2))),
+    ("cavity pair", "0,run,0.1,,1,,,,0", event_columns(("run", 0.1, None, 1, None)),
+     "cavity counts must both be present or both empty"),
+    ("photon sum", "0,run,0.1,,1,1,,,0", event_columns(("run", 0.1, None, 1, 1)), "at most one photon per particle"),
+    ("scatter pair", "0,run,,,,,1e-06,,0", event_columns(("run", None, None, None, None, 1e-06, None)),
+     "scatter cells must both be present or both empty"),
+    ("terminal field", "0,run,0.1,x,,,,,0", event_columns(("run", 0.1, "x")),
+     "exactly one terminal field must be set, got 2"),
+    ("cavity code", "0,run,0.1,,-2,-2,,,0", event_columns(("run", 0.1, None, -2, -2)),
+     "cavity1_photons must be 0 or 1, got -2"),
     # 64 + 64 wraps to -128 in int8, under the photon-sum rule's bound
-    ("cavity code past the int8 sum", "0,run,0.1,,64,64,,,0", _one_row(screen_x=0.1, cavity=(64, 64))),
+    ("cavity code past the int8 sum", "0,run,0.1,,64,64,,,0", event_columns(("run", 0.1, None, 64, 64)),
+     "cavity1_photons must be 0 or 1, got 64"),
 ]
 
 
-@pytest.mark.parametrize("rule,row,columns", _ROW_RULES, ids=[rule for rule, _, _ in _ROW_RULES])
-def test_reader_and_columns_hold_a_row_to_the_same_rule(tmp_path, rule, row, columns):
+@pytest.mark.parametrize("rule,row,columns,message", _ROW_RULES, ids=[rule for rule, *_ in _ROW_RULES])
+def test_reader_and_columns_hold_a_row_to_the_same_rule(tmp_path, rule, row, columns, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"{EVENTS_HEADER}\n{row}\n")
-    with pytest.raises(ValueError) as read:
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         read_events_csv(path)
-    cited = str(read.value)
-    assert cited.startswith(f"{path}:2: ")
-    message = cited[len(f"{path}:2: "):]
-    for entry in (columns.check, columns.records):
+    for entry in (columns.check, lambda: EventLog(columns)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             entry()
 
 
-# the row faults of _ROW_RULES, and values the reader refuses as cells
-_UNWRITABLE = [*((rule, columns) for rule, _, columns in _ROW_RULES),
-               ("infinite screen_x", _one_row(screen_x=np.inf)),
-               ("infinite scatter", _one_row(scatter=(np.inf, 1.0)))]
+# the row faults of _ROW_RULES, values the reader refuses as cells, and port codes and
+# terminal fields no CSV cell can spell
+_UNWRITABLE = [*((rule, columns, message) for rule, _, columns, message in _ROW_RULES),
+               ("infinite screen_x", event_columns(("run", np.inf)), "screen_x must be finite, got inf"),
+               ("infinite scatter", event_columns(("run", None, None, None, None, np.inf, 1.0)),
+                "scatter_xy must be finite, got (inf, 1.0)"),
+               ("port code 2", event_columns(("run", None, 2)), "mz_port must be one of ('x', 'y'), got 2"),
+               ("no terminal field", event_columns(("run",)), "exactly one terminal field must be set, got 0"),
+               ("screen and scatter", event_columns(("run", 0.5, None, None, None, 1.0, 2.0)),
+                "exactly one terminal field must be set, got 2"),
+               ("three terminal fields", event_columns(("run", 0.5, "x", None, None, 1.0, 2.0)),
+                "exactly one terminal field must be set, got 3")]
 
 
-@pytest.mark.parametrize("fault,columns", _UNWRITABLE, ids=[fault for fault, _ in _UNWRITABLE])
-def test_writer_refuses_a_log_the_reader_refuses_and_leaves_no_file(tmp_path, fault, columns):
-    with pytest.raises(ValueError) as checked:
-        columns.check()
+@pytest.mark.parametrize("fault,columns,message", _UNWRITABLE, ids=[fault for fault, *_ in _UNWRITABLE])
+def test_writer_refuses_a_log_the_reader_refuses_and_leaves_no_file(tmp_path, fault, columns, message):
+    # no log holds such columns, so none reaches the writer
     path = tmp_path / "events.csv"
-    with pytest.raises(ValueError, match=f"^{re.escape(str(checked.value))}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_events_csv(EventLog(columns=columns), path)
     assert not path.exists()
+
+
+def test_every_log_is_checked_once(tmp_path, monkeypatch):
+    checked = []
+    check = EventColumns.check
+
+    def counted(columns):
+        checked.append(columns.experiment.size)
+        check(columns)
+
+    monkeypatch.setattr(EventColumns, "check", counted)
+    path = tmp_path / "events.csv"
+    assert main(["simulate", "--preset", "young_baseline", "--events", "10000", "--seed", "1", "--out", str(path)]) == 0
+    assert checked == [10_000]  # in the log run_experiment builds, not again in the writer
+    write_events_csv(run_experiment(build_preset("young_micromaser"), 3000, seed=2, records=False), path)
+    checked.clear()
+    read_events_csv(path)
+    assert checked == [3000]  # once for the log, not once per READ_BLOCK rows
+    for records in (True, False):
+        checked.clear()
+        run_experiment(build_preset("mz_weak_screen"), 3000, seed=2, records=records).events
+        assert len(checked) == 1, records
 
 
 def test_rows_that_split_into_whole_rows_of_cells_are_rejected(tmp_path):
@@ -335,29 +357,28 @@ def test_id_gap_error_cites_path_and_line(tmp_path, capsys):
 def test_reader_takes_cells_as_int_and_float_read_them(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text(f"{EVENTS_HEADER}\n00,run, 1e-3 ,,+1,0,,,07\n1,run,,x,,,,,{2**64 - 1}\n")
-    events = read_events_csv(path).events
-    assert events[0] == DetectionEvent(0, "run", screen_x=0.001, whichway=WhichWayRecord(1, 0), stream_id=7)
-    assert events[1] == DetectionEvent(1, "run", mz_port="x", stream_id=2**64 - 1)
+    assert read_events_csv(path) == EventLog(event_columns(("run", 0.001, None, 1, 0, None, None, 7),
+                                                           ("run", None, "x", None, None, None, None, 2**64 - 1)))
 
 
 _NAMES = st.text(alphabet=st.characters(exclude_characters=",",
                                        exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-_RECORDS = st.sampled_from([None, WhichWayRecord(1, 0), WhichWayRecord(0, 1),
-                            WhichWayRecord(0, 0, single_cavity_mode=True),
-                            WhichWayRecord(1, 0, single_cavity_mode=True)])
-_EVENTS = st.one_of(
-    st.builds(lambda x, ww: {"screen_x": x, "whichway": ww}, _FLOATS, _RECORDS),
-    st.builds(lambda p, ww: {"mz_port": p, "whichway": ww}, st.sampled_from(("x", "y")), _RECORDS),
-    st.builds(lambda x, y, ww: {"scatter_xy": (x, y), "whichway": ww}, _FLOATS, _FLOATS, _RECORDS),
+_COUNTS = st.sampled_from([(None, None), (1, 0), (0, 1), (0, 0)])
+# (screen_x, mz_port, scatter pair) of each terminal kind
+_TERMINALS = st.one_of(
+    st.builds(lambda x: (x, None, (None, None)), _FLOATS),
+    st.builds(lambda p: (None, p, (None, None)), st.sampled_from(("x", "y"))),
+    st.builds(lambda x, y: (None, None, (x, y)), _FLOATS, _FLOATS),
 )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.tuples(_NAMES, _EVENTS, st.integers(0, 2**64 - 1)), max_size=40))
-def test_write_read_write_is_byte_identical(tmp_path, rows):
-    log = EventLog(tuple(DetectionEvent(i, name, stream_id=stream, **fields)
-                         for i, (name, fields, stream) in enumerate(rows)))
+@given(rows=st.lists(st.tuples(_NAMES, _TERMINALS, _COUNTS, st.integers(0, 2**64 - 1)), max_size=40),
+       single_cavity=st.booleans())
+def test_write_read_write_is_byte_identical(tmp_path, rows, single_cavity):
+    log = EventLog(event_columns(*((name, x, port, *counts, *xy, stream) for name, (x, port, xy), counts, stream in rows),
+                                 single_cavity=single_cavity))
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     write_events_csv(log, first)
     write_events_csv(read_events_csv(first), second)
@@ -381,13 +402,17 @@ def test_analyze_cites_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, lin
 
 
 def _valid_log_bytes() -> bytes:
-    events = run_experiment(build_preset("young_micromaser"), 12, seed=3).events
-    scattered = run_experiment(build_preset("mz_weak_screen"), 400, seed=3).events
-    scattered = [e for e in scattered if e.scatter_xy is not None][:2] + [e for e in scattered if e.mz_port][:2]
-    mixed = events + tuple(dataclasses.replace(e, event_id=len(events) + i) for i, e in enumerate(scattered))
+    # a tagged screen run, then two scatter rows and two port rows of a weak-screen run
+    tagged = run_experiment(build_preset("young_micromaser"), 12, seed=3)
+    weak = run_experiment(build_preset("mz_weak_screen"), 400, seed=3)
+    scatter_x, scatter_y = weak.column("scatter_x")[:2], weak.column("scatter_y")[:2]
+    rows = [(name, x, None, c1, c2) for name, x, c1, c2 in zip(*(tagged.column(field).tolist() for field in (
+        "experiment", "screen_x", "cavity1_photons", "cavity2_photons")))]
+    rows += [("mz_weak_screen", None, None, None, None, x, y) for x, y in zip(scatter_x.tolist(), scatter_y.tolist())]
+    rows += [("mz_weak_screen", None, port) for port in weak.column("mz_port")[:2].tolist()]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.csv"
-        write_events_csv(EventLog(mixed), path)
+        write_events_csv(EventLog(event_columns(*rows)), path)
         return path.read_bytes()
 
 
