@@ -38,10 +38,11 @@ def _fmt(value) -> str:
 
 
 def _float_cells(values: np.ndarray):
-    """Cells of a float column: repr() of each value, "" for NaN."""
+    """Cells of a float column: repr() of each value, "" for NaN, or the
+    one cell "" when every value is NaN."""
     present = ~np.isnan(values)
     if not present.any():
-        return repeat("")
+        return ""
     if present.all():
         return map(repr, values.tolist())
     cells = [""] * values.size
@@ -50,33 +51,74 @@ def _float_cells(values: np.ndarray):
     return cells
 
 
+def _coded_cells(codes: np.ndarray, cells: tuple):
+    """cells[code] of each code, or that one cell when every code is the same."""
+    if (codes == codes[0]).all():
+        return cells[codes[0]]
+    return map(cells.__getitem__, codes.tolist())
+
+
+#: MZ_PORTS indexed by port code; code -1 takes the last cell, the empty one.
+_PORT_CELLS = (*MZ_PORTS, "")
+#: The "c1,c2" cell of cavity codes (c1, c2) at entry 3(c1 + 1) + (c2 + 1).
+_COUNT_CELLS = tuple(f"{a},{b}" for a in ("", "0", "1") for b in ("", "0", "1"))
+
+
+def _block_columns(c: EventColumns, first: int, stop: int) -> list:
+    """The cells of rows first to stop, a column at a time: a str when
+    every row holds that cell, else each row's cell in row order. The ids
+    always vary, and the two cavity counts make one "c1,c2" column."""
+    block = slice(first, stop)
+    names = c.experiment[block].tolist()
+    distinct = set(names)
+    streams = c.stream_id[block]
+    if (streams == streams[0]).all():
+        stream_cells = str(streams[0])
+    else:
+        streams = streams.tolist()
+        stream_cells = map({stream: str(stream) for stream in set(streams)}.__getitem__, streams)
+    return [
+        map(str, range(first, stop)), distinct.pop() if len(distinct) == 1 else names,
+        _float_cells(c.screen_x[block]), _coded_cells(c.mz_port[block], _PORT_CELLS),
+        _coded_cells(3 * c.cavity1_photons[block] + c.cavity2_photons[block] + 4, _COUNT_CELLS),
+        _float_cells(c.scatter_x[block]), _float_cells(c.scatter_y[block]), stream_cells,
+    ]
+
+
+def _rows(columns: list) -> list[str]:
+    """Each row's cells joined with commas. A str column is formatted
+    once: runs of them merge with their commas into one literal that
+    every row repeats, and only the other columns are read per row."""
+    pieces, literal = [], ""
+    for k, cells in enumerate(columns):
+        literal += "," if k else ""
+        if isinstance(cells, str):
+            literal += cells
+            continue
+        pieces += (repeat(literal), cells) if literal else (cells,)
+        literal = ""
+    if literal:
+        pieces.append(repeat(literal))
+    # the varying columns end the zip: the ids always vary
+    return list(map("".join, zip(*pieces)))
+
+
 #: Rows formatted per block: bounds the cell strings alive during a write.
 WRITE_BLOCK = 65536
 
 
 def write_events_csv(log: EventLog, path: PathLike) -> None:
-    """One row per event, formatted from the log's columns a column at a
-    time, WRITE_BLOCK rows per write to a file opened once; no
-    DetectionEvent is built. A write cut short leaves whole blocks of
-    rows, which read back as a shorter log. No log holds columns the
-    reader would refuse: EventLog checked them when it was built."""
-    c = log._columns
-    ports = (*MZ_PORTS, "")  # code -1 reads the last cell, the empty one
-    counts = ("0", "1", "")
+    """One row per event, formatted from the log's columns WRITE_BLOCK
+    rows per write to a file opened once; no DetectionEvent is built.
+    Within a block, a column whose cells are all the same is formatted
+    once, so the bytes do not depend on the block size. A write cut short
+    leaves whole blocks of rows, which read back as a shorter log. No log
+    holds columns the reader would refuse: EventLog checked them when it
+    was built."""
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(EVENTS_HEADER + "\n")
         for first in range(0, len(log), WRITE_BLOCK):
-            block = slice(first, first + WRITE_BLOCK)
-            streams = c.stream_id[block].tolist()
-            rows = list(map(",".join, zip(
-                map(str, range(first, first + len(streams))), c.experiment[block].tolist(),
-                _float_cells(c.screen_x[block]),
-                map(ports.__getitem__, c.mz_port[block].tolist()),
-                map(counts.__getitem__, c.cavity1_photons[block].tolist()),
-                map(counts.__getitem__, c.cavity2_photons[block].tolist()),
-                _float_cells(c.scatter_x[block]), _float_cells(c.scatter_y[block]),
-                map({stream: str(stream) for stream in set(streams)}.__getitem__, streams),
-            )))
+            rows = _rows(_block_columns(log._columns, first, min(first + WRITE_BLOCK, len(log))))
             rows.append("")  # every row ends with a newline
             out.write("\n".join(rows))
 
@@ -212,10 +254,9 @@ def read_events_csv(path: PathLike) -> EventLog:
 
 
 def write_histogram_csv(h: FringeHistogram, path: PathLike) -> None:
-    lines = [HISTOGRAM_HEADER]
-    for lo, hi, count in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts):
-        lines.append(f"{_fmt(float(lo))},{_fmt(float(hi))},{_fmt(float(count))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    edges = h.bin_edges.tolist()
+    rows = map(",".join, zip(map(repr, edges[:-1]), map(repr, edges[1:]), map(repr, h.counts.tolist())))
+    Path(path).write_text("\n".join((HISTOGRAM_HEADER, *rows)) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_metrics_csv(metrics: FringeMetrics, path: PathLike) -> None:

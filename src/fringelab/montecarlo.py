@@ -153,8 +153,9 @@ class EventColumns(NamedTuple):
         each over whole columns: cavity counts both present or both empty,
         at most one photon, scatter cells both present or both empty,
         exactly one terminal field, finite screen and scatter values, a
-        port code that indexes MZ_PORTS or is -1, and cavity codes of -1, 0
-        or 1."""
+        port code that indexes MZ_PORTS or is -1, cavity codes of -1, 0 or
+        1, and experiment names with no comma and nothing str.splitlines
+        breaks a line at."""
         port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
         if ((c1 < 0) != (c2 < 0)).any():
             raise ValueError("cavity counts must both be present or both empty")
@@ -180,6 +181,9 @@ class EventColumns(NamedTuple):
             bad = (codes < -1) | (codes > 1)
             if bad.any():
                 raise ValueError(f"{name} must be 0 or 1, got {codes[np.argmax(bad)]}")
+        for name in sorted(set(self.experiment.tolist())):  # each distinct name once, in a fixed order
+            if "," in name or "".join(name.splitlines()) != name:
+                raise ValueError(f"experiment must hold no comma or line break, got {name!r}")
 
 
 def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:

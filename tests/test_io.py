@@ -303,7 +303,10 @@ _UNWRITABLE = [*((rule, columns, message) for rule, _, columns, message in _ROW_
                ("screen and scatter", event_columns(("run", 0.5, None, None, None, 1.0, 2.0)),
                 "exactly one terminal field must be set, got 2"),
                ("three terminal fields", event_columns(("run", 0.5, "x", None, None, 1.0, 2.0)),
-                "exactly one terminal field must be set, got 3")]
+                "exactly one terminal field must be set, got 3"),
+               *((f"name {name!r}", event_columns(("run", 0.1), (name, 0.2)),
+                  f"experiment must hold no comma or line break, got {name!r}")
+                 for name in ("a,b", "a\nb", "a\r", "a\x0cb", "a\u2028b"))]
 
 
 @pytest.mark.parametrize("fault,columns,message", _UNWRITABLE, ids=[fault for fault, *_ in _UNWRITABLE])
@@ -383,6 +386,36 @@ def test_write_read_write_is_byte_identical(tmp_path, rows, single_cavity):
     write_events_csv(log, first)
     write_events_csv(read_events_csv(first), second)
     assert second.read_bytes() == first.read_bytes()
+
+
+def _reference_events_csv(log: EventLog) -> bytes:
+    """The events CSV of log formatted a row at a time, every cell of every row."""
+    def number(x):
+        return "" if np.isnan(x) else repr(x)
+
+    def count(k):
+        return "" if k < 0 else str(k)
+
+    lines = [EVENTS_HEADER]
+    rows = zip(*(column.tolist() for column in log._columns[:-1]))
+    for i, (name, x, port, c1, c2, sx, sy, stream) in enumerate(rows):
+        lines.append(",".join((str(i), name, number(x), ("x", "y", "")[port], count(c1), count(c2),
+                               number(sx), number(sy), str(stream))))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(_NAMES, min_size=1, max_size=3),
+       rows=st.lists(st.tuples(st.integers(0, 2), _TERMINALS, _COUNTS, st.sampled_from((0, 1, 2**64 - 1))), max_size=40))
+def test_writer_matches_a_row_by_row_reference(tmp_path, monkeypatch, names, rows):
+    # few names, streams and kinds of row, so a column can be the same throughout one block and vary in the next
+    log = EventLog(event_columns(*((names[k % len(names)], x, port, *counts, *xy, stream)
+                                   for k, (x, port, xy), counts, stream in rows)))
+    path = tmp_path / "events.csv"
+    for block in (1, 3, 1000):
+        monkeypatch.setattr("fringelab.io.WRITE_BLOCK", block)
+        write_events_csv(log, path)
+        assert path.read_bytes() == _reference_events_csv(log), block
 
 
 @pytest.mark.parametrize("lines,lineno", [
