@@ -142,14 +142,11 @@ def local_extrema(smoothed: np.ndarray) -> tuple[list[int], list[int]]:
     toward the lower index); minima mirror the rule. The first and last
     bins are never extrema.
     """
-    maxima: list[int] = []
-    minima: list[int] = []
-    for i in range(1, len(smoothed) - 1):
-        if smoothed[i] > smoothed[i - 1] and smoothed[i] >= smoothed[i + 1]:
-            maxima.append(i)
-        if smoothed[i] < smoothed[i - 1] and smoothed[i] <= smoothed[i + 1]:
-            minima.append(i)
-    return maxima, minima
+    s = np.asarray(smoothed)
+    mid, left, right = s[1:-1], s[:-2], s[2:]
+    maxima = np.flatnonzero((mid > left) & (mid >= right)) + 1
+    minima = np.flatnonzero((mid < left) & (mid <= right)) + 1
+    return maxima.tolist(), minima.tolist()
 
 
 def visibility(h: FringeHistogram, window: tuple[float, float] | None = None) -> MetricValue:

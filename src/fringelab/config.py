@@ -2,10 +2,12 @@
 
 A configuration names a scenario plus every physical parameter the
 simulator needs. The nine built-in presets cover the bench layouts the
-package models; a config file starts from its scenario's preset and
-overrides individual keys. The file format is line-oriented
-``key = value`` with ``#`` comments and dotted keys for nesting, chosen
-so configs stay diffable and trivially parseable.
+package models; each is a table of the keys it changes from its bench's
+defaults. A config file starts from its scenario's preset and overrides
+individual keys; one constructor builds a config from either set of
+keys. The file format is line-oriented ``key = value`` with ``#``
+comments and dotted keys for nesting, chosen so configs stay diffable
+and trivially parseable.
 """
 
 from __future__ import annotations
@@ -21,30 +23,71 @@ from .composite import PATTERN_CONVENTIONS, PhaseNoise, StateVector
 from .measurement import MeasurementOperator, WeakScreen
 from .wavefield import TWO_PI, BeamSpec, CrossingRegion, MZGeometry, ScreenGrid, TwoSlitGeometry
 
-PRESET_NAMES = (
-    "young_baseline",
-    "young_random_phase",
-    "young_internal_incoherent",
-    "young_micromaser",
-    "young_single_cavity",
-    "mz_with_bs2",
-    "mz_without_bs2",
-    "mz_weak_screen",
-    "eraser_modulation",
-)
-
 MZ_SCENARIOS = ("mz_with_bs2", "mz_without_bs2", "mz_weak_screen")
 
 #: Scenarios whose runs attach photon-cavity which-way records to events.
 CAVITY_SCENARIOS = ("young_micromaser", "young_single_cavity", "eraser_modulation")
 
-# Desk-scale defaults shared by every preset.
-DEFAULT_WAVELENGTH = 500e-9
-DEFAULT_SLIT_SEPARATION = 10e-6
-DEFAULT_SLIT_WIDTH = 2e-6
-DEFAULT_SCREEN_DISTANCE = 1.0
-DEFAULT_SCREEN_HALF_WIDTH = 0.15
-DEFAULT_CROSSING_SIZE = 3e-6
+#: Keys every preset shares: a 500 nm beam, no phase noise, trivial
+#: internal and detector states.
+_SHARED = {
+    "beam.wavelength": 500e-9,
+    "beam.amplitude": 1.0,
+    "noise.distribution": "none",
+    "noise.independent_per_branch": True,
+    "noise.value": 0.0,
+    "noise.low": 0.0,
+    "noise.high": TWO_PI,
+    "noise.sigma": 0.0,
+    "internal_overlap": 1.0,
+    "internal_overlap_phase": 0.0,
+    "detector_overlap": 1.0,
+    "detector_overlap_phase": 0.0,
+    "pattern_convention": "literal",
+    "single_cavity": False,
+}
+
+#: Keys of the two-slit bench: 2 um slits 10 um apart, a screen 1 m away.
+_TWO_SLIT = {
+    "geometry.slit_separation": 10e-6,
+    "geometry.slit_width": 2e-6,
+    "geometry.screen_distance": 1.0,
+    "geometry.slit_amplitude1": 1.0,
+    "geometry.slit_amplitude2": 1.0,
+    "geometry.screen_x_min": -0.15,
+    "geometry.screen_x_max": 0.15,
+}
+
+#: Keys of the interferometer bench: no recombiner, and a 3 um square
+#: crossing region whose fringes follow the beam's wavelength.
+_INTERFEROMETER = {
+    "mz.bs2_present": False,
+    "mz.phase_difference": 0.0,
+    "mz.crossing_wavenumber": TWO_PI / _SHARED["beam.wavelength"],
+    "mz.crossing_x_min": 0.0,
+    "mz.crossing_x_max": 3e-6,
+    "mz.crossing_y_min": 0.0,
+    "mz.crossing_y_max": 3e-6,
+}
+
+#: The built-in presets, each as the keys it changes from its bench's
+#: defaults. A measurement.mode of internal alone is the all-ones
+#: internal readout (see _build).
+_PRESETS = {
+    "young_baseline": {},
+    "young_random_phase": {"noise.distribution": "uniform"},
+    "young_internal_incoherent": {"internal_overlap": 0.0},
+    "young_micromaser": {"detector_overlap": 0.0},
+    "young_single_cavity": {"internal_overlap": 0.0, "detector_overlap": 0.0, "measurement.mode": "internal",
+                            "pattern_convention": "measurement_mediated", "single_cavity": True},
+    "mz_with_bs2": {"mz.bs2_present": True},
+    "mz_without_bs2": {},
+    "mz_weak_screen": {"weak_screen.transmittance": 0.99, "weak_screen.scatter_fraction": 0.01},
+    "eraser_modulation": {"detector_overlap": 0.0, "measurement.mode": "internal",
+                          "pattern_convention": "measurement_mediated"},
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 class ConfigError(Exception):
@@ -116,70 +159,6 @@ class ExperimentConfig:
         """Combined cross-term factor of the internal and detector overlaps."""
         return (self.internal_overlap * cmath.exp(1j * self.internal_overlap_phase)
                 * self.detector_overlap * cmath.exp(1j * self.detector_overlap_phase))
-
-
-def _default_geometry() -> TwoSlitGeometry:
-    return TwoSlitGeometry(
-        slit_separation=DEFAULT_SLIT_SEPARATION,
-        slit_width=DEFAULT_SLIT_WIDTH,
-        screen_distance=DEFAULT_SCREEN_DISTANCE,
-        slit_amplitudes=(1.0, 1.0),
-        screen_grid=ScreenGrid(-DEFAULT_SCREEN_HALF_WIDTH, DEFAULT_SCREEN_HALF_WIDTH),
-    )
-
-
-def _default_mz(bs2_present: bool) -> MZGeometry:
-    return MZGeometry(
-        bs2_present=bs2_present,
-        phase_difference=0.0,
-        crossing_wavenumber=TWO_PI / DEFAULT_WAVELENGTH,
-        crossing_region=CrossingRegion(0.0, DEFAULT_CROSSING_SIZE, 0.0, DEFAULT_CROSSING_SIZE),
-    )
-
-
-def _uniform_response_operator() -> MeasurementOperator:
-    """Internal-mode readout whose four matrix elements are all 1.
-
-    This is the best-case detector: it responds identically whichever
-    branch was taken, so the recorded signal keeps the full fringe term.
-    """
-    basis0 = StateVector((1.0, 0.0))
-    return MeasurementOperator.internal((basis0, basis0), ((1.0, 1.0), (1.0, 1.0)))
-
-
-def build_preset(name: str) -> ExperimentConfig:
-    """Fully populated configuration for one of the named scenarios."""
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
-    beam = BeamSpec(wavelength=DEFAULT_WAVELENGTH, amplitude=1.0)
-    none = PhaseNoise.none()
-    if name == "young_baseline":
-        return ExperimentConfig(name, beam, _default_geometry(), none)
-    if name == "young_random_phase":
-        return ExperimentConfig(name, beam, _default_geometry(), PhaseNoise.uniform(0.0, TWO_PI))
-    if name == "young_internal_incoherent":
-        return ExperimentConfig(name, beam, _default_geometry(), none, internal_overlap=0.0)
-    if name == "young_micromaser":
-        return ExperimentConfig(name, beam, _default_geometry(), none, detector_overlap=0.0)
-    if name == "young_single_cavity":
-        return ExperimentConfig(
-            name, beam, _default_geometry(), none,
-            internal_overlap=0.0, detector_overlap=0.0,
-            measurement=_uniform_response_operator(),
-            pattern_convention="measurement_mediated", single_cavity=True,
-        )
-    if name == "eraser_modulation":
-        return ExperimentConfig(
-            name, beam, _default_geometry(), none,
-            detector_overlap=0.0,
-            measurement=_uniform_response_operator(),
-            pattern_convention="measurement_mediated",
-        )
-    if name == "mz_with_bs2":
-        return ExperimentConfig(name, beam, _default_mz(True), none)
-    if name == "mz_without_bs2":
-        return ExperimentConfig(name, beam, _default_mz(False), none)
-    return ExperimentConfig(name, beam, _default_mz(False), none, weak_screen=WeakScreen())
 
 
 def _parse_bool(text: str) -> bool:
@@ -320,6 +299,8 @@ def _build(v: dict[str, object]) -> ExperimentConfig:
             if mode == "center_of_mass":
                 measurement = MeasurementOperator.center_of_mass(v.get("measurement.com_factor", 1.0))
             else:
+                # an unset element reads 1; all four unset is the best-case detector, which
+                # responds alike on either branch and so keeps the full fringe term
                 basis0 = StateVector((1.0, 0.0))
                 measurement = MeasurementOperator(
                     mode,
@@ -353,6 +334,19 @@ def _build(v: dict[str, object]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _preset_values(name: str) -> dict[str, object]:
+    """The keys of a preset: the shared defaults, its bench's, then its own."""
+    bench = _INTERFEROMETER if name in MZ_SCENARIOS else _TWO_SLIT
+    return {"scenario": name, **_SHARED, **bench, **_PRESETS[name]}
+
+
+def build_preset(name: str) -> ExperimentConfig:
+    """Fully populated configuration for one of the named scenarios."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
+    return _build(_preset_values(name))
+
+
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
     """Parse key = value text into a validated configuration.
 
@@ -381,9 +375,9 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
     if "scenario" not in entries:
         raise ConfigError("missing required key: scenario")
     scenario_line, scenario = entries.pop("scenario")
-    if scenario not in PRESET_NAMES:
+    if scenario not in _PRESETS:
         raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(PRESET_NAMES)}", scenario_line)
-    values = _values(build_preset(scenario))
+    values = _preset_values(scenario)
     for key, (lineno, raw) in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)

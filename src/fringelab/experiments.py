@@ -19,10 +19,10 @@ Generators emit a stream's events as numpy columns, which are joined
 into one EventLog, whose constructor checks them once; run_experiment
 then builds the log's records in one bulk pass, unless the caller (the
 command line) asks for the columns alone. Weak-screen runs read their
-uniforms ahead in blocks and then walk the variable strides (3, 2 or 1
-uniforms per particle) through the block, so their output equals the
-per-particle loop over weak_screen_interact and a port draw; only the
-stream's position after the run differs.
+uniforms ahead in blocks and find each particle's start by doubling
+jumps along the variable strides (3, 2 or 1 uniforms per particle), so
+their output equals the per-particle loop over weak_screen_interact and
+a port draw; only the stream's position after the run differs.
 """
 
 from __future__ import annotations
@@ -177,9 +177,9 @@ def _weak_screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) 
     Each block holds at least three uniforms per particle. Every uniform
     is classified as a particle's first draw would be (scatter band, then
     transmission, else absorbed) and mapped to the stride that particle
-    would consume; walking the strides from the first uniform finds where
-    each particle starts. Uniforms past the last particle of a block carry
-    over to the next one.
+    would consume; doubling jumps along the strides from the first
+    uniform find where each particle starts. Uniforms past the last
+    particle of a block carry over to the next one.
     """
     mz, beam, screen = config.geometry, config.beam, config.weak_screen
     positions, weights = midline_profile(mz, beam, SAMPLING_CELLS)
@@ -192,14 +192,15 @@ def _weak_screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) 
         block = min(WEAK_SCREEN_BLOCK, n - first)
         u = np.concatenate((carried, rng.random(max(3 * block - carried.size, 0))))
         strides = np.where(u < screen.scatter_fraction, 3, np.where(u < transmit_below, 2, 1))
-        step = strides.tolist()
-        starts = []
-        s = 0
-        for _ in range(block):
-            starts.append(s)
-            s += step[s]
-        carried = u[s:]
-        starts = np.array(starts)
+        # jump[i]: where the particle after one starting at uniform i starts (u.size
+        # maps to itself); each pass doubles the starts found and the particles jump skips
+        jump = np.append(np.minimum(np.arange(u.size) + strides, u.size), u.size)
+        starts = np.zeros(1, dtype=jump.dtype)
+        while starts.size < block:
+            starts = np.append(starts, jump[starts])
+            jump = jump[jump]
+        starts = starts[:block]
+        carried = u[starts[-1] + strides[starts[-1]]:]
         starts = starts[strides[starts] > 1]  # absorbed particles leave no record
         kinds = strides[starts]
         scattered = kinds == 3

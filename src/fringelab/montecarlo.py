@@ -154,8 +154,8 @@ class EventColumns(NamedTuple):
         at most one photon, scatter cells both present or both empty,
         exactly one terminal field, finite screen and scatter values, a
         port code that indexes MZ_PORTS or is -1, cavity codes of -1, 0 or
-        1, and experiment names with no comma and nothing str.splitlines
-        breaks a line at."""
+        1, and experiment names that are str with no comma and nothing
+        str.splitlines breaks a line at."""
         port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
         if ((c1 < 0) != (c2 < 0)).any():
             raise ValueError("cavity counts must both be present or both empty")
@@ -181,7 +181,11 @@ class EventColumns(NamedTuple):
             bad = (codes < -1) | (codes > 1)
             if bad.any():
                 raise ValueError(f"{name} must be 0 or 1, got {codes[np.argmax(bad)]}")
-        for name in sorted(set(self.experiment.tolist())):  # each distinct name once, in a fixed order
+        names = set(self.experiment.tolist())
+        if not all(isinstance(name, str) for name in names):  # before sorting, which mixed types break
+            name = next(name for name in self.experiment.tolist() if not isinstance(name, str))
+            raise ValueError(f"experiment must be a str, got {name!r}")
+        for name in sorted(names):  # each distinct name once, in a fixed order
             if "," in name or "".join(name.splitlines()) != name:
                 raise ValueError(f"experiment must hold no comma or line break, got {name!r}")
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import event_columns
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fringelab.analysis import (
     _FIELD_COLUMNS,
@@ -119,6 +121,19 @@ def test_local_extrema_never_at_boundaries():
     maxima, minima = local_extrema(np.array([9.0, 1.0, 8.0]))
     assert maxima == []
     assert minima == [1]
+
+
+@given(st.lists(st.integers(0, 3), max_size=12))
+def test_local_extrema_match_a_bin_by_bin_reference(counts):
+    # few distinct levels, so neighbouring bins often tie
+    s = np.array(counts, dtype=float)
+    maxima, minima = [], []
+    for i in range(1, len(s) - 1):
+        if s[i] > s[i - 1] and s[i] >= s[i + 1]:
+            maxima.append(i)
+        if s[i] < s[i - 1] and s[i] <= s[i + 1]:
+            minima.append(i)
+    assert local_extrema(s) == (maxima, minima)
 
 
 @pytest.mark.parametrize("contrast", [0.2, 0.5, 0.8, 1.0])

@@ -265,32 +265,36 @@ def test_weak_screen_absorption_drops_particles():
 def test_weak_screen_run_with_absorption_replays_the_scalar_loop(monkeypatch, n, n_streams, block):
     # 40% absorption, so all three strides (3 scattered, 2 transmitted,
     # 1 absorbed) occur; 9000 particles and the small blocks carry
-    # uniforms across block borders
+    # uniforms across block borders. Then the stride extremes: every
+    # particle scattered (each stride 3, so a block's walk ends on its
+    # last uniform), every one transmitted, and every one absorbed (an
+    # empty log).
     monkeypatch.setattr(experiments, "WEAK_SCREEN_BLOCK", block)
-    config = parse_config(
-        "scenario = mz_weak_screen\n"
-        "weak_screen.transmittance = 0.5\n"
-        "weak_screen.scatter_fraction = 0.1\n"
-    )
-    log = run_experiment(config, n, seed=13, n_streams=n_streams)
-    mz, beam, screen = config.geometry, config.beam, config.weak_screen
-    midline = midline_profile(mz, beam, SAMPLING_CELLS)
-    ix = mz_port_intensity(mz, beam, "x")
-    px = ix / (ix + mz_port_intensity(mz, beam, "y"))
-    expected = []
-    base, remainder = divmod(n, n_streams)
-    for stream_id in range(n_streams):
-        rng = RngStream(13, stream_id).generator()
-        for _ in range(base + (1 if stream_id < remainder else 0)):
-            outcome = weak_screen_interact(screen, mz, beam, rng, midline)
-            if outcome.kind == "scattered":
-                expected.append(DetectionEvent(
-                    len(expected), config.scenario, scatter_xy=(outcome.x, outcome.y), stream_id=stream_id,
-                ))
-            elif outcome.kind == "transmitted":
-                port = "x" if rng.random() < px else "y"
-                expected.append(DetectionEvent(len(expected), config.scenario, mz_port=port, stream_id=stream_id))
-    assert log.events == tuple(expected)
+    for transmittance, scatter_fraction in ((0.5, 0.1), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+        config = parse_config(
+            "scenario = mz_weak_screen\n"
+            f"weak_screen.transmittance = {transmittance}\n"
+            f"weak_screen.scatter_fraction = {scatter_fraction}\n"
+        )
+        log = run_experiment(config, n, seed=13, n_streams=n_streams)
+        mz, beam, screen = config.geometry, config.beam, config.weak_screen
+        midline = midline_profile(mz, beam, SAMPLING_CELLS)
+        ix = mz_port_intensity(mz, beam, "x")
+        px = ix / (ix + mz_port_intensity(mz, beam, "y"))
+        expected = []
+        base, remainder = divmod(n, n_streams)
+        for stream_id in range(n_streams):
+            rng = RngStream(13, stream_id).generator()
+            for _ in range(base + (1 if stream_id < remainder else 0)):
+                outcome = weak_screen_interact(screen, mz, beam, rng, midline)
+                if outcome.kind == "scattered":
+                    expected.append(DetectionEvent(
+                        len(expected), config.scenario, scatter_xy=(outcome.x, outcome.y), stream_id=stream_id,
+                    ))
+                elif outcome.kind == "transmitted":
+                    port = "x" if rng.random() < px else "y"
+                    expected.append(DetectionEvent(len(expected), config.scenario, mz_port=port, stream_id=stream_id))
+        assert log.events == tuple(expected), (transmittance, scatter_fraction)
 
 
 def test_a_sweep_that_keeps_the_geometry_computes_the_slit_waves_once(tmp_path, counted_phases):

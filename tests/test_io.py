@@ -306,7 +306,9 @@ _UNWRITABLE = [*((rule, columns, message) for rule, _, columns, message in _ROW_
                 "exactly one terminal field must be set, got 3"),
                *((f"name {name!r}", event_columns(("run", 0.1), (name, 0.2)),
                   f"experiment must hold no comma or line break, got {name!r}")
-                 for name in ("a,b", "a\nb", "a\r", "a\x0cb", "a\u2028b"))]
+                 for name in ("a,b", "a\nb", "a\r", "a\x0cb", "a\u2028b")),
+               ("int name", event_columns(("run", 0.1), (5, 0.2)), "experiment must be a str, got 5"),
+               ("bytes name", event_columns((b"run", 0.1)), "experiment must be a str, got b'run'")]
 
 
 @pytest.mark.parametrize("fault,columns,message", _UNWRITABLE, ids=[fault for fault, *_ in _UNWRITABLE])
