@@ -1,8 +1,9 @@
 """Command-line surface: simulate, analyze, sweep, eraser.
 
-No command builds a DetectionEvent: simulate and sweep run experiments
-with records=False, and analyze and eraser read the events CSV into
-columns. Each log's rows are checked once, when its EventLog is built.
+No command builds a DetectionEvent: simulate writes each block of a run
+to the events CSV as it is drawn, sweep runs experiments with
+records=False, and analyze and eraser read the events CSV into columns.
+Each row is checked once, when the EventLog holding it is built.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
 value, unknown preset, out-of-range seed or count), 3 runtime failure
@@ -27,17 +28,17 @@ from .analysis import (
     visibility,
 )
 from .config import ConfigError, ExperimentConfig, build_preset, parse_config
-from .experiments import fringe_window, run_experiment
+from .experiments import event_blocks, fringe_window, run_experiment
 from .io import (
     SWEEP_HEADER,
     read_events_csv,
-    write_events_csv,
+    write_event_logs,
     write_histogram_csv,
     write_histogram_pgm,
     write_metrics_csv,
 )
 from .measurement import coincidence_modulate, eraser_singles
-from .montecarlo import RngStream
+from .montecarlo import EventLog, RngStream
 
 
 @functools.cache  # built once per process: parsing leaves no state on the parser
@@ -137,9 +138,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_at_least("--events", args.events, 1)
     config = _resolve_config(args)
-    log = run_experiment(config, args.events, args.seed, records=False)
-    write_events_csv(log, args.out)
-    print(f"{config.scenario}: wrote {len(log)} events to {args.out}")
+    # each block is checked by its EventLog and written before the next is drawn
+    written = write_event_logs(map(EventLog, event_blocks(config, args.events, args.seed)), args.out)
+    print(f"{config.scenario}: wrote {written} events to {args.out}")
     return 0
 
 

@@ -15,10 +15,15 @@ Per-event uniforms by scenario family:
   (port) when transmitted; absorbed particles end after one draw and
   leave no record, so those runs can log fewer events than particles.
 
-Generators emit a stream's events as numpy columns, which are joined
-into one EventLog, whose constructor checks them once; run_experiment
-then builds the log's records in one bulk pass, unless the caller (the
-command line) asks for the columns alone. Weak-screen runs read their
+Each stream is drawn in blocks of PARTICLE_BLOCK particles, from
+sampling state computed once per run, and event_blocks yields each
+block's events as numpy columns. The command line's simulate hands each
+block to the CSV writer as it is drawn, so its memory does not grow with
+the run; run_experiment joins the blocks into one EventLog, whose
+constructor checks them once, and then builds the log's records in one
+bulk pass, unless the caller asks for the columns alone. A block's draws
+continue its stream where the last block stopped, so the blocks hold the
+events one draw for the whole stream would. Weak-screen runs read their
 uniforms ahead in blocks and find each particle's start by doubling
 jumps along the variable strides (3, 2 or 1 uniforms per particle), so
 their output equals the per-particle loop over weak_screen_interact and
@@ -26,6 +31,8 @@ a port draw; only the stream's position after the run differs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -46,9 +53,9 @@ from .wavefield import TwoSlitGeometry, mz_port_intensity
 #: Cells in the inverse-CDF sampling grid across the screen.
 SAMPLING_CELLS = 4096
 
-#: Particles per block of uniforms read ahead by weak-screen runs; bounds
-#: the scratch memory at three uniforms per particle.
-WEAK_SCREEN_BLOCK = 4096
+#: Particles drawn per block of a stream. Bounds a run's scratch columns
+#: and uniforms, and with the cells of a streamed write about 1 MB.
+PARTICLE_BLOCK = 4096
 
 
 def composite_from_config(config: ExperimentConfig, include_envelope: bool = True) -> CompositeState:
@@ -109,23 +116,18 @@ def _screen_grid(config: ExperimentConfig) -> np.ndarray:
     return sampling_grid(grid.x_min, grid.x_max, SAMPLING_CELLS)
 
 
-def _stream_columns(config: ExperimentConfig, stream_id: int, n: int, *, screen_x=None, mz_port=None,
-                    cavity=None, scatter_xy=None) -> tuple:
-    """One stream's n events in EventColumns field order; a field left
-    None is empty in every row, and every row shares the scenario name."""
-    empty, none = np.full(n, np.nan), np.full(n, -1, dtype=np.int8)
-    return (np.repeat(np.array([config.scenario], dtype=object), n), empty if screen_x is None else screen_x,
-            none if mz_port is None else mz_port, *(cavity or (none, none)), *(scatter_xy or (empty, empty)),
-            np.full(n, stream_id, dtype=np.uint64))
+def _block_sizes(n: int):
+    """The particle counts of a stream's blocks: PARTICLE_BLOCK each, the last one what is left."""
+    return (min(PARTICLE_BLOCK, n - first) for first in range(0, n, PARTICLE_BLOCK))
 
 
-def _screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
+def _screen_blocks(config: ExperimentConfig):
     grid = _screen_grid(config)
-    xs = sample_positions(grid, pattern_profile(config, grid), rng, n)
-    return _stream_columns(config, stream_id, n, screen_x=xs)
+    profile = pattern_profile(config, grid)
+    return lambda rng, n: ((k, {"screen_x": sample_positions(grid, profile, rng, k)}) for k in _block_sizes(n))
 
 
-def _tagged_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
+def _tagged_blocks(config: ExperimentConfig):
     """Cavity scenarios: a slit tag, then a position conditioned per the
     pattern convention.
 
@@ -146,16 +148,20 @@ def _tagged_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tu
         cdf2 = np.cumsum(np.abs(np.asarray(b2.com_amplitude(grid))) ** 2)
     if not (cdf1[-1] > 0 and cdf2[-1] > 0):
         raise ValueError("sampling profile must have positive total weight")
-    draws = rng.random((n, 3))
-    through1 = draws[:, 0] < p1
-    xs = np.where(
-        through1,
-        _inverse_cdf(grid, cdf1, draws[:, 1], draws[:, 2]),
-        _inverse_cdf(grid, cdf2, draws[:, 1], draws[:, 2]),
-    )
-    cavity1 = through1.astype(np.int8)  # a slit-2 photon has no cavity in single-cavity runs
-    cavity2 = np.zeros(n, dtype=np.int8) if config.single_cavity else 1 - cavity1
-    return _stream_columns(config, stream_id, n, screen_x=xs, cavity=(cavity1, cavity2))
+
+    def fields(draws: np.ndarray) -> dict:
+        through1 = draws[:, 0] < p1
+        if cdf1 is cdf2:
+            xs = _inverse_cdf(grid, cdf1, draws[:, 1], draws[:, 2])
+        else:  # each slit's CDF on its own rows: the draw works row by row
+            xs = np.empty(len(draws))
+            for rows, cdf in ((through1, cdf1), (~through1, cdf2)):
+                xs[rows] = _inverse_cdf(grid, cdf, draws[rows, 1], draws[rows, 2])
+        cavity1 = through1.astype(np.int8)  # a slit-2 photon has no cavity in single-cavity runs
+        cavity2 = np.zeros_like(cavity1) if config.single_cavity else 1 - cavity1
+        return {"screen_x": xs, "cavity": (cavity1, cavity2)}
+
+    return lambda rng, n: ((k, fields(rng.random((k, 3)))) for k in _block_sizes(n))
 
 
 def _port_x_fraction(config: ExperimentConfig) -> float:
@@ -164,13 +170,13 @@ def _port_x_fraction(config: ExperimentConfig) -> float:
     return ix / (ix + iy)
 
 
-def _port_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
+def _port_blocks(config: ExperimentConfig):
     # port code 0 is "x", drawn when the uniform falls below its fraction
-    ports = (rng.random(n) >= _port_x_fraction(config)).astype(np.int8)
-    return _stream_columns(config, stream_id, n, mz_port=ports)
+    px = _port_x_fraction(config)
+    return lambda rng, n: ((k, {"mz_port": (rng.random(k) >= px).astype(np.int8)}) for k in _block_sizes(n))
 
 
-def _weak_screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
+def _weak_screen_blocks(config: ExperimentConfig):
     """Vectorized loop of weak_screen_interact plus a port draw when
     transmitted.
 
@@ -186,40 +192,78 @@ def _weak_screen_columns(config: ExperimentConfig, n: int, rng, stream_id: int) 
     cdf = np.cumsum(_checked_weights(weights))
     px = _port_x_fraction(config)
     transmit_below = screen.scatter_fraction + screen.transmittance
-    carried = np.empty(0)
-    blocks = []
-    for first in range(0, n, WEAK_SCREEN_BLOCK):
-        block = min(WEAK_SCREEN_BLOCK, n - first)
-        u = np.concatenate((carried, rng.random(max(3 * block - carried.size, 0))))
-        strides = np.where(u < screen.scatter_fraction, 3, np.where(u < transmit_below, 2, 1))
-        # jump[i]: where the particle after one starting at uniform i starts (u.size
-        # maps to itself); each pass doubles the starts found and the particles jump skips
-        jump = np.append(np.minimum(np.arange(u.size) + strides, u.size), u.size)
-        starts = np.zeros(1, dtype=jump.dtype)
-        while starts.size < block:
-            starts = np.append(starts, jump[starts])
-            jump = jump[jump]
-        starts = starts[:block]
-        carried = u[starts[-1] + strides[starts[-1]]:]
-        starts = starts[strides[starts] > 1]  # absorbed particles leave no record
-        kinds = strides[starts]
-        scattered = kinds == 3
-        x = np.full(kinds.size, np.nan)
-        x[scattered] = _inverse_cdf(positions, cdf, u[starts[scattered] + 1], u[starts[scattered] + 2])
-        blocks.append((np.where(kinds == 2, u[starts + 1] >= px, -1).astype(np.int8), x))
-    ports, scatter_x = map(np.concatenate, zip(*blocks))
-    scatter_y = np.where(np.isnan(scatter_x), np.nan, mz.crossing_region.midline_y)
-    return _stream_columns(config, stream_id, ports.size, mz_port=ports, scatter_xy=(scatter_x, scatter_y))
+    midline_y = mz.crossing_region.midline_y
+
+    def blocks(rng, n):
+        carried = np.empty(0)
+        for block in _block_sizes(n):
+            u = np.concatenate((carried, rng.random(max(3 * block - carried.size, 0))))
+            strides = np.where(u < screen.scatter_fraction, 3, np.where(u < transmit_below, 2, 1))
+            # jump[i]: where the particle after one starting at uniform i starts (u.size
+            # maps to itself); each pass doubles the starts found and the particles jump skips
+            jump = np.append(np.minimum(np.arange(u.size) + strides, u.size), u.size)
+            starts = np.zeros(1, dtype=jump.dtype)
+            while starts.size < block:
+                starts = np.append(starts, jump[starts])
+                jump = jump[jump]
+            starts = starts[:block]
+            carried = u[starts[-1] + strides[starts[-1]]:]
+            starts = starts[strides[starts] > 1]  # absorbed particles leave no record
+            kinds = strides[starts]
+            scattered = kinds == 3
+            x = np.full(kinds.size, np.nan)
+            x[scattered] = _inverse_cdf(positions, cdf, u[starts[scattered] + 1], u[starts[scattered] + 2])
+            yield kinds.size, {"mz_port": np.where(kinds == 2, u[starts + 1] >= px, -1).astype(np.int8),
+                               "scatter_xy": (x, np.where(scattered, midline_y, np.nan))}
+
+    return blocks
 
 
-def _generate(config: ExperimentConfig, n: int, rng, stream_id: int) -> tuple:
+def _stream_blocks(config: ExperimentConfig):
+    """The run's sampling state, computed once from the config, as a
+    function from one stream's generator and particle count to that
+    stream's blocks: (rows, terminal fields) per PARTICLE_BLOCK particles."""
     if config.scenario == "mz_weak_screen":
-        return _weak_screen_columns(config, n, rng, stream_id)
+        return _weak_screen_blocks(config)
     if config.scenario in MZ_SCENARIOS:
-        return _port_columns(config, n, rng, stream_id)
+        return _port_blocks(config)
     if config.scenario in CAVITY_SCENARIOS:
-        return _tagged_columns(config, n, rng, stream_id)
-    return _screen_columns(config, n, rng, stream_id)
+        return _tagged_blocks(config)
+    return _screen_blocks(config)
+
+
+def _generate(config: ExperimentConfig, stream_id: int, n: int, fields: dict) -> tuple:
+    """n events of one stream's block in EventColumns field order, from the
+    terminal fields drawn for them: screen_x, mz_port, the cavity pair or
+    the scatter pair. A field not drawn is empty in every row, and every
+    row shares the scenario name."""
+    empty, none = np.full(n, np.nan), np.full(n, -1, dtype=np.int8)
+    return (np.repeat(np.array([config.scenario], dtype=object), n), fields.get("screen_x", empty),
+            fields.get("mz_port", none), *fields.get("cavity", (none, none)),
+            *fields.get("scatter_xy", (empty, empty)), np.full(n, stream_id, dtype=np.uint64))
+
+
+def event_blocks(config: ExperimentConfig, n_events: int, seed: int, n_streams: int = 1) -> Iterator[EventColumns]:
+    """Simulate n_events particles and yield their terminal records as
+    columns, a block of at most PARTICLE_BLOCK particles at a time.
+
+    Deterministic given (config, n_events, seed, n_streams): stream s
+    draws from the generator keyed (seed, s), streams follow in order, and
+    event i is the i-th row yielded. Only weak-screen blocks can hold
+    fewer rows than particles, as absorbed particles leave none. The
+    sampling state is computed once, when the first block is drawn; a bad
+    argument or profile raises ValueError then. The caller's EventLog
+    checks the columns.
+    """
+    if n_events < 1:
+        raise ValueError(f"n_events must be at least 1, got {n_events}")
+    if n_streams < 1:
+        raise ValueError(f"n_streams must be at least 1, got {n_streams}")
+    stream_blocks = _stream_blocks(config)
+    base, remainder = divmod(n_events, n_streams)
+    for s in range(min(n_streams, n_events)):  # a stream with no particle adds nothing
+        for n, fields in stream_blocks(RngStream(seed, s).generator(), base + (1 if s < remainder else 0)):
+            yield EventColumns(*_generate(config, s, n, fields), single_cavity=config.single_cavity)
 
 
 def run_experiment(
@@ -227,26 +271,14 @@ def run_experiment(
 ) -> EventLog:
     """Simulate n_events particles and log their terminal records.
 
-    Deterministic given (config, n_events, seed, n_streams): stream s
-    draws from the generator keyed (seed, s), streams are concatenated
-    in stream order, and event ids are assigned densely across the
-    merged log. n_events counts particles sent in; only the weak-screen
-    scenario can absorb a particle without a record, every other
-    scenario logs exactly one event per particle. The log holds the
-    columns and the records built from them. With records=False, as the
-    command line calls it, the records are left to a first read of
-    log.events.
+    The log is event_blocks(config, n_events, seed, n_streams) joined:
+    its events and event ids are those rows in order, and its EventLog
+    checks them once. The log holds the columns and the records built
+    from them. With records=False, as sweep calls it, the records are
+    left to a first read of log.events.
     """
-    if n_events < 1:
-        raise ValueError(f"n_events must be at least 1, got {n_events}")
-    if n_streams < 1:
-        raise ValueError(f"n_streams must be at least 1, got {n_streams}")
-    base, remainder = divmod(n_events, n_streams)
-    streams = (  # a stream with no particle adds nothing; lazy, so each stream's columns go once joined
-        _generate(config, base + (1 if s < remainder else 0), RngStream(seed, s).generator(), s)
-        for s in range(min(n_streams, n_events))
-    )
-    columns = EventColumns(*map(np.concatenate, zip(*streams)), single_cavity=config.single_cavity)
+    blocks = (block[:-1] for block in event_blocks(config, n_events, seed, n_streams))
+    columns = EventColumns(*map(np.concatenate, zip(*blocks)), single_cavity=config.single_cavity)
     log = EventLog(columns, config_digest(config))
     if records:
         # builds the records here, for the benchmark's weak_screen step, which reads

@@ -10,8 +10,12 @@ EventLog it builds holds them to the row rules, EventColumns.check().
 
 from __future__ import annotations
 
+import os
+import stat
+from collections import deque
+from collections.abc import Iterable
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Union
 
@@ -64,11 +68,11 @@ _PORT_CELLS = (*MZ_PORTS, "")
 _COUNT_CELLS = tuple(f"{a},{b}" for a in ("", "0", "1") for b in ("", "0", "1"))
 
 
-def _block_columns(c: EventColumns, first: int, stop: int) -> list:
-    """The cells of rows first to stop, a column at a time: a str when
-    every row holds that cell, else each row's cell in row order. The ids
-    always vary, and the two cavity counts make one "c1,c2" column."""
-    block = slice(first, stop)
+def _block_columns(c: EventColumns, block: slice, ids: range) -> list:
+    """The cells of rows block of c, whose event ids are ids, a column at
+    a time: a str when every row holds that cell, else each row's cell in
+    row order. The ids always vary, and the two cavity counts make one
+    "c1,c2" column."""
     names = c.experiment[block].tolist()
     distinct = set(names)
     streams = c.stream_id[block]
@@ -78,7 +82,7 @@ def _block_columns(c: EventColumns, first: int, stop: int) -> list:
         streams = streams.tolist()
         stream_cells = map({stream: str(stream) for stream in set(streams)}.__getitem__, streams)
     return [
-        map(str, range(first, stop)), distinct.pop() if len(distinct) == 1 else names,
+        map(str, ids), distinct.pop() if len(distinct) == 1 else names,
         _float_cells(c.screen_x[block]), _coded_cells(c.mz_port[block], _PORT_CELLS),
         _coded_cells(3 * c.cavity1_photons[block] + c.cavity2_photons[block] + 4, _COUNT_CELLS),
         _float_cells(c.scatter_x[block]), _float_cells(c.scatter_y[block]), stream_cells,
@@ -103,27 +107,56 @@ def _rows(columns: list) -> list[str]:
     return list(map("".join, zip(*pieces)))
 
 
-#: Rows formatted per block: bounds the cell strings alive during a write.
-WRITE_BLOCK = 65536
+#: Rows formatted per block, as many as a streamed run draws per block:
+#: bounds the cell strings alive during a write.
+WRITE_BLOCK = 4096
+
+
+def write_event_logs(logs: Iterable[EventLog], path: PathLike) -> int:
+    """Write the events CSV of logs, joined in order, to a file opened
+    once; returns the rows written.
+
+    Rows are formatted from each log's columns WRITE_BLOCK at a time, ids
+    running on across the logs; no DetectionEvent is built. Within a
+    block, a column whose cells are all the same is formatted once, so
+    the bytes depend neither on the block size nor on where one log ends
+    and the next begins. Each log is drawn from logs only once the rows
+    before it are written, so a generator of logs is written holding one
+    log at a time. The first is drawn before the file is opened; when
+    drawing a later one raises ValueError (its EventLog refused its rows),
+    the file is removed. A write cut short otherwise leaves whole blocks
+    of rows, which read back as a shorter log. No log holds columns the
+    reader would refuse: EventLog checked them when it was built.
+    """
+    logs = iter(logs)
+    log, written = next(logs, None), 0
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(EVENTS_HEADER + "\n")
+        while log is not None:
+            for first in range(0, len(log), WRITE_BLOCK):
+                stop = min(first + WRITE_BLOCK, len(log))
+                rows = _rows(_block_columns(log._columns, slice(first, stop), range(written + first, written + stop)))
+                rows.append("")  # every row ends with a newline
+                out.write("\n".join(rows))
+            written += len(log)
+            try:
+                log = next(logs, None)
+            except ValueError:
+                out.close()
+                if stat.S_ISREG(os.lstat(path).st_mode):  # never a device or a link named as the output
+                    os.unlink(path)
+                raise
+    return written
 
 
 def write_events_csv(log: EventLog, path: PathLike) -> None:
-    """One row per event, formatted from the log's columns WRITE_BLOCK
-    rows per write to a file opened once; no DetectionEvent is built.
-    Within a block, a column whose cells are all the same is formatted
-    once, so the bytes do not depend on the block size. A write cut short
-    leaves whole blocks of rows, which read back as a shorter log. No log
-    holds columns the reader would refuse: EventLog checked them when it
-    was built."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(EVENTS_HEADER + "\n")
-        for first in range(0, len(log), WRITE_BLOCK):
-            rows = _rows(_block_columns(log._columns, first, min(first + WRITE_BLOCK, len(log))))
-            rows.append("")  # every row ends with a newline
-            out.write("\n".join(rows))
+    """One row per event of log: write_event_logs over that one log."""
+    write_event_logs((log,), path)
 
 
-#: Rows parsed per block: bounds the cell strings alive during a read.
+#: Rows read per chunk, about: a chunk is READ_BLOCK * 64 bytes and then
+#: the rest of its last line, parsed as one block. Bounds the text and cell
+#: strings alive during a read.
 READ_BLOCK = 1024
 
 _PORT_CODES = {"": -1, **{port: code for code, port in enumerate(MZ_PORTS)}}
@@ -204,6 +237,61 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
     return experiment, screen_x, mz_port, cavity1, cavity2, scatter_x, scatter_y, stream_id
 
 
+def _decode_error(exc: UnicodeDecodeError, offset: int) -> str:
+    """str(exc) as decoding the whole file would word it, exc being raised
+    by a chunk that starts offset bytes into the file."""
+    start, end = offset + exc.start, offset + exc.end
+    if end - start == 1:
+        return f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} in position {start}: {exc.reason}"
+    return f"'{exc.encoding}' codec can't decode bytes in position {start}-{end - 1}: {exc.reason}"
+
+
+def _chunks(path: PathLike):
+    """(number of its first line, its lines) for each chunk of the file,
+    lines as str.splitlines splits them. A chunk ends after a b"\\n" or at
+    the end of the file, so it splits no line, no character and no
+    "\\r\\n", and its lines are numbered on from the chunk before. A byte
+    that is not UTF-8 raises ValueError citing path:line and its position
+    from the start of the file."""
+    with open(path, "rb") as f:
+        offset, lineno = 0, 1
+        while chunk := f.read(64 * READ_BLOCK) + f.readline():
+            try:
+                lines = chunk.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                line = lineno - 1 + len((chunk[:exc.start].decode() + "?").splitlines())
+                raise ValueError(f"{path}:{line}: {_decode_error(exc, offset)}") from exc
+            yield lineno, lines
+            offset += len(chunk)
+            lineno += len(lines)
+
+
+def _cite_bad_row(path: PathLike, blocks: list, experiments: dict[str, str]) -> None:
+    """Raise the first bad row's ValueError, prefixed with its path:line.
+
+    blocks are the decoded blocks of the file's first chunks, one per
+    chunk. The first of them that fails the row rules, or else the chunk
+    after them, which failed to decode, is read again and parsed row by
+    row. Returns when no single row fails."""
+    bad = len(blocks)
+    for k, block in enumerate(blocks):
+        try:
+            EventColumns(*block).check()
+        except ValueError:
+            bad = k
+            break
+    first_id = sum(block[0].size for block in blocks[:bad])
+    lineno, lines = next(islice(_chunks(path), bad, None))
+    for lineno, row in islice(enumerate(lines, lineno), 1 if bad == 0 else 0, None):  # past the header
+        if not row:
+            continue
+        try:
+            EventColumns(*_parse_block([row], first_id, experiments)).check()
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        first_id += 1
+
+
 def read_events_csv(path: PathLike) -> EventLog:
     """Parse an events CSV into a column-backed log.
 
@@ -211,45 +299,39 @@ def read_events_csv(path: PathLike) -> EventLog:
     log's digest is empty. Nor does it carry the single-cavity flag: rows
     with zero total photons can only come from single-cavity tagging and
     read back in that mode, but a young_single_cavity log's slit-1 rows
-    (counts 1, 0) read back outside it. Rows are decoded READ_BLOCK at a
-    time, cell values with int() and float(), into one EventLog, which
-    checks them once. When a block fails to decode or the log refuses a
-    row, the ValueError cites the first bad row's path:line, as does a
-    non-UTF-8 byte. Blank lines are skipped but counted.
+    (counts 1, 0) read back outside it. The text is read and decoded a
+    chunk of about READ_BLOCK rows at a time, cell values with int() and
+    float(), so the whole text is never held; the blocks of columns are
+    joined into one EventLog, which checks them once. When a block fails
+    to decode or the log refuses a row, the ValueError cites the first bad
+    row's path:line, as does a non-UTF-8 byte, which is cited first
+    wherever it is. Blank lines are skipped but counted.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # the whole file is decoded at once, so exc.object holds it all
-        raise ValueError(f"{path}:{len((exc.object[:exc.start].decode() + '?').splitlines())}: {exc}") from exc
-    if not lines or lines[0] != EVENTS_HEADER:
-        raise ValueError(f"{path}: missing or unexpected events header")
-    linenos = range(1, len(lines) + 1)
-    if "" in lines:
-        linenos = [lineno for lineno, line in zip(linenos, lines) if line]
-        lines = [line for line in lines if line]
+    chunks = _chunks(path)
     experiments: dict[str, str] = {}
-    blocks = []
+    blocks, rows_read = [], 0
+    for lineno, lines in chunks:
+        rows = lines
+        if lineno == 1:
+            if lines[0] != EVENTS_HEADER:
+                deque(chunks, maxlen=0)  # a byte that is not UTF-8 later on is cited first
+                raise ValueError(f"{path}: missing or unexpected events header")
+            rows = lines[1:]  # a header-only file still parses one (empty) block, for the column dtypes
+        if "" in rows:
+            rows = list(filter(None, rows))
+        try:
+            blocks.append(_parse_block(rows, rows_read, experiments))
+        except ValueError:
+            deque(chunks, maxlen=0)
+            _cite_bad_row(path, blocks, experiments)
+            raise
+        rows_read += len(rows)
+    if not blocks:
+        raise ValueError(f"{path}: missing or unexpected events header")
     try:
-        # an empty log still parses one (empty) block, for the column dtypes
-        for first in range(1, max(len(lines), 2), READ_BLOCK):
-            blocks.append(_parse_block(lines[first:first + READ_BLOCK], first - 1, experiments))
         return EventLog(EventColumns(*map(np.concatenate, zip(*blocks))))
     except ValueError:
-        # the first decoded block that fails the row rules, or else the block
-        # after them, which failed to decode, is parsed again row by row
-        bad = len(blocks)
-        for k, block in enumerate(blocks):
-            try:
-                EventColumns(*block).check()
-            except ValueError:
-                bad = k
-                break
-        first = 1 + bad * READ_BLOCK
-        for offset, row in enumerate(lines[first:first + READ_BLOCK]):
-            try:
-                EventColumns(*_parse_block([row], first - 1 + offset, experiments)).check()
-            except ValueError as exc:
-                raise ValueError(f"{path}:{linenos[first + offset]}: {exc}") from exc
+        _cite_bad_row(path, blocks, experiments)
         raise
 
 

@@ -155,10 +155,13 @@ def measured_signal(op: MeasurementOperator, state: CompositeState, x):
 
 @dataclass(frozen=True)
 class WeakScreen:
-    """Thin scattering film: transmit, weakly scatter, or absorb."""
+    """Thin scattering film: transmit, weakly scatter, or absorb.
 
-    transmittance: float = 0.99
-    scatter_fraction: float = 0.01
+    Both fractions are required: the mz_weak_screen preset's 99:1 split
+    lives in its key table, not here."""
+
+    transmittance: float
+    scatter_fraction: float
 
     def __post_init__(self) -> None:
         t, s = float(self.transmittance), float(self.scatter_fraction)

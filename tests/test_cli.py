@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +42,58 @@ def test_simulate_writes_events(tmp_path, capsys):
 
 
 def test_simulate_checks_the_generated_columns(tmp_path, capsys, monkeypatch):
+    # 10000 particles are drawn in three blocks: a fault in the first or the last
+    # is refused with exit 3, and neither leaves a file at --out
     generate = experiments._generate
+    for bad_block in (0, 2):
+        blocks = []
 
-    def port_on_every_screen_row(*args):
-        columns = generate(*args)
-        return (*columns[:2], np.zeros_like(columns[2]), *columns[3:])
+        def port_on_every_screen_row(*args):
+            columns = generate(*args)
+            blocks.append(columns)
+            if len(blocks) - 1 != bad_block:
+                return columns
+            return (*columns[:2], np.zeros_like(columns[2]), *columns[3:])
 
-    monkeypatch.setattr(experiments, "_generate", port_on_every_screen_row)
+        monkeypatch.setattr(experiments, "_generate", port_on_every_screen_row)
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--preset", "young_baseline", "--events", 10_000, "--seed", 1, "--out", out) == 3
+        assert "exactly one terminal field must be set, got 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(blocks) == bad_block + 1, bad_block  # no block is drawn after the refused one
+
+
+def test_simulate_leaves_no_file_when_set_up_fails(tmp_path, capsys, monkeypatch):
+    # the run's profile is computed when its first block is drawn, before the file is opened
+    monkeypatch.setattr(experiments, "pattern_profile", lambda config, x: np.zeros_like(x))
     out = tmp_path / "x.csv"
     assert run("simulate", "--preset", "young_baseline", "--events", 10, "--seed", 1, "--out", out) == 3
-    assert "exactly one terminal field must be set, got 2" in capsys.readouterr().err
+    assert "profile must have at least one positive value" in capsys.readouterr().err
     assert not out.exists()
+    out.write_text("kept")
+    assert run("simulate", "--preset", "young_baseline", "--events", 10, "--seed", 1, "--out", out) == 3
+    assert out.read_text() == "kept"
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_the_run(tmp_path, capsys):
+    # every block is written before the next is drawn, so four times the events
+    # hold about the same memory; the set-up run leaves the caches warm for both
+    def argv(n):
+        return ["simulate", "--preset", "young_baseline", "--events", str(n), "--seed", "1",
+                "--out", str(tmp_path / f"{n}.csv")]
+
+    assert main(argv(1000)) == 0
+    small, large = _traced_peak(argv(20_000)), _traced_peak(argv(80_000))
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_simulate_requires_a_source():

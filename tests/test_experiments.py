@@ -254,10 +254,10 @@ def test_weak_screen_absorption_drops_particles():
 
 @pytest.mark.parametrize("n_streams", [1, 3])
 @pytest.mark.parametrize("n,block", [
-    (1, experiments.WEAK_SCREEN_BLOCK),
-    (2, experiments.WEAK_SCREEN_BLOCK),
-    (3000, experiments.WEAK_SCREEN_BLOCK),
-    (9000, experiments.WEAK_SCREEN_BLOCK),
+    (1, experiments.PARTICLE_BLOCK),
+    (2, experiments.PARTICLE_BLOCK),
+    (3000, experiments.PARTICLE_BLOCK),
+    (9000, experiments.PARTICLE_BLOCK),
     (2, 1),
     (3000, 1),
     (3000, 5),
@@ -269,7 +269,7 @@ def test_weak_screen_run_with_absorption_replays_the_scalar_loop(monkeypatch, n,
     # particle scattered (each stride 3, so a block's walk ends on its
     # last uniform), every one transmitted, and every one absorbed (an
     # empty log).
-    monkeypatch.setattr(experiments, "WEAK_SCREEN_BLOCK", block)
+    monkeypatch.setattr(experiments, "PARTICLE_BLOCK", block)
     for transmittance, scatter_fraction in ((0.5, 0.1), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
         config = parse_config(
             "scenario = mz_weak_screen\n"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,13 @@ from fringelab.analysis import (
 )
 from fringelab.cli import main
 from fringelab.config import build_preset
-from fringelab.experiments import run_experiment
+from fringelab.experiments import event_blocks, run_experiment
 from fringelab.io import (
     EVENTS_HEADER,
     HISTOGRAM_HEADER,
     METRICS_HEADER,
     read_events_csv,
+    write_event_logs,
     write_events_csv,
     write_histogram_csv,
     write_histogram_pgm,
@@ -250,7 +252,7 @@ _BAD_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("block", [1024, 2])
+@pytest.mark.parametrize("block", [1024, 2, 1])
 @pytest.mark.parametrize("why,row", _BAD_ROWS, ids=[why for why, _ in _BAD_ROWS])
 def test_analyze_names_the_line_of_a_corrupt_cell(tmp_path, capsys, monkeypatch, why, row, block):
     monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
@@ -331,7 +333,8 @@ def test_every_log_is_checked_once(tmp_path, monkeypatch):
     monkeypatch.setattr(EventColumns, "check", counted)
     path = tmp_path / "events.csv"
     assert main(["simulate", "--preset", "young_baseline", "--events", "10000", "--seed", "1", "--out", str(path)]) == 0
-    assert checked == [10_000]  # in the log run_experiment builds, not again in the writer
+    # simulate checks each block it draws, in the EventLog it writes, and nothing again
+    assert checked == [4096, 4096, 1808]
     write_events_csv(run_experiment(build_preset("young_micromaser"), 3000, seed=2, records=False), path)
     checked.clear()
     read_events_csv(path)
@@ -420,20 +423,96 @@ def test_writer_matches_a_row_by_row_reference(tmp_path, monkeypatch, names, row
         assert path.read_bytes() == _reference_events_csv(log), block
 
 
+_MANY_ROWS = [f"{i},run,0.1,,,,,,0" for i in range(10_000)]  # about 190 KB, three default chunks
+
+
 @pytest.mark.parametrize("lines,lineno", [
     ([EVENTS_HEADER, "0,run,0.1,,,,,,0", b"1,r\xffn,0.2,,,,,,0"], 3),
     # blank lines count, and a CRLF file numbers its lines as an LF file
     ([EVENTS_HEADER, "0,run,0.1,,,,,,0\r", "", b"1,run,0.2,,,,,,0\r", b"2,\xe2\x82,0.3,,,,,,0"], 5),
-    # far past the first read chunk
+    # far past the first read chunk of 192 or 64 bytes
     ([EVENTS_HEADER, *(f"{i},run,0.1,,,,,,0" for i in range(3000)), b"3000,run,0.1,,,,,,\x800"], 3002),
+    # past the first default chunk too, in a CRLF file with blank lines
+    ([EVENTS_HEADER, *(f"{row}\r" for row in _MANY_ROWS), "", "\r", b"10000,run,\xff,,,,,,0"], 10_004),
+    # a bad row before the byte: the byte is cited first, wherever it is
+    ([EVENTS_HEADER, "0,run,abc,,,,,,0", *_MANY_ROWS[1:], b"10000,run,0.1,,,,,,0\xc3"], 10_002),
+    # a truncated sequence at the end of the file
+    ([EVENTS_HEADER, *_MANY_ROWS[:5000], b"5000,run\xe2\x82"], 5002),
 ])
-def test_analyze_cites_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, lines, lineno):
+def test_analyze_cites_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys, monkeypatch, lines, lineno):
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines) + b"\n")
-    code = main(["analyze", "--events", str(path),
-                 "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
-    assert code == 3
-    assert f"{path}:{lineno}: 'utf-8' codec can't decode byte" in capsys.readouterr().err
+    data = b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines) + b"\n"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:  # the message names the byte's position in the whole file
+        data.decode("utf-8")
+    for block in (1024, 3, 1):  # chunks of 64 KiB, 192 and 64 bytes
+        monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
+        code = main(["analyze", "--events", str(path),
+                     "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == f"fringelab: error: {path}:{lineno}: {whole.value}\n", block
+
+
+def _border_file(row: int, fault: str, newline: str) -> tuple[bytes, int]:
+    """40 rows, a blank line after every seventh, with the fault in row
+    row: the bytes and the fault's line number."""
+    lines = [EVENTS_HEADER]
+    for i in range(40):
+        lines.append(f"{i},run,{0.1 * i!r},,,,,,0")
+        if i == row:
+            fault_line = len(lines)
+            lines[-1] = {"corrupt cell": f"{i},run,0.1x,,,,,,0", "form feed": f"{i},run,0.1\x0c,,,,,,0",
+                         "id gap": f"{i + 1},run,0.1,,,,,,0", "row rule": f"{i},run,0.1,x,,,,,0",
+                         "not utf8": f"{i},r\udcffn,0.1,,,,,,0"}[fault]
+        if i % 7 == 6:
+            lines.append("")
+    data = newline.join(lines).encode("utf-8", "surrogateescape") + newline.encode()
+    return data, fault_line
+
+
+_BORDER_FAULTS = [
+    ("corrupt cell", "could not convert string to float: '0.1x'"),
+    ("form feed", "expected 9 fields, got 3"),  # str.splitlines breaks the row there
+    ("id gap", "event ids must be dense from 0; position {row} holds id {next}"),
+    ("row rule", "exactly one terminal field must be set, got 2"),
+    ("not utf8", None),
+]
+
+
+@pytest.mark.parametrize("fault,message", _BORDER_FAULTS, ids=[fault for fault, _ in _BORDER_FAULTS])
+def test_reader_cites_a_fault_at_every_chunk_border(tmp_path, monkeypatch, fault, message):
+    # the fault moves through every row of a file read in chunks of 64 and 128 bytes,
+    # so it sits on each side of a border and straddles some, as do the "\r\n" ends
+    path = tmp_path / "bad.csv"
+    for row in range(40):
+        for newline in ("\n", "\r\n"):
+            data, lineno = _border_file(row, fault, newline)
+            path.write_bytes(data)
+            if message is None:
+                with pytest.raises(UnicodeDecodeError) as whole:
+                    data.decode("utf-8")
+                expected = f"{path}:{lineno}: {whole.value}"
+            else:
+                expected = f"{path}:{lineno}: {message.format(row=row, next=row + 1)}"
+            for block in (1, 2):
+                monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    read_events_csv(path)
+
+
+@pytest.mark.parametrize("preset", ["young_baseline", "eraser_modulation", "mz_weak_screen"])
+def test_reader_holds_little_beyond_the_columns(tmp_path, preset):
+    # the text is read a chunk at a time, so the peak is the decoded blocks, their join and one chunk
+    path = tmp_path / "events.csv"
+    write_events_csv(run_experiment(build_preset(preset), 80_000, seed=3, records=False), path)
+    tracemalloc.start()
+    try:
+        log = read_events_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 80_000
+    assert peak <= 3 * sum(column.nbytes for column in log._columns[:-1]), peak
 
 
 def _valid_log_bytes() -> bytes:
@@ -475,3 +554,77 @@ def test_analyze_on_arbitrary_bytes_exits_0_or_3(tmp_path, capsys, data):
                  "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
     assert code in (0, 3)
     capsys.readouterr()
+
+
+def _inserted(inserts, positions) -> bytes:
+    data = bytearray(_VALID_LOG)
+    for insert, position in sorted(zip(inserts, positions), key=lambda pair: -pair[1]):
+        data[position:position] = insert
+    return bytes(data)
+
+
+def _read_outcome(path):
+    try:
+        return read_events_csv(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    _FLIPS.map(_flipped),
+    st.lists(st.sampled_from([b"\r\n", b"\n", b"\r", b"\x0c", b"\xff", b"\xe2\x82", b"\n\n"]), max_size=3).flatmap(
+        lambda inserts: st.lists(st.integers(0, len(_VALID_LOG)), min_size=len(inserts), max_size=len(inserts)).map(
+            lambda positions: _inserted(inserts, positions))),
+))
+def test_chunked_reads_match_a_one_chunk_read(tmp_path, monkeypatch, data):
+    # the same log or the same message, path:line and byte position included, whatever the chunk size
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr("fringelab.io.READ_BLOCK", 10**6)
+    whole = _read_outcome(path)
+    for block in (1, 2):
+        monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
+        assert _read_outcome(path) == whole, block
+
+
+# SHA-256 of each preset's events CSV at 12 293 events, seed 7, recorded before runs
+# were drawn in blocks: 12 293 particles cross three PARTICLE_BLOCK borders
+_BLOCKED_DIGESTS = {
+    "young_baseline/streams=1": "4c9d23c4fc6ec0470a85a5eb10cde99adf4873d8a8c89e29748477921819c883",
+    "young_baseline/streams=3": "11add28b8414fef3a876eb023af25bd6c07c65e04e27b634eed39ccfd0de985c",
+    "young_random_phase/streams=1": "6e69d8cf5901dba060c296128290d2dea4af8943987d33a61be82bf9371fbfd9",
+    "young_random_phase/streams=3": "1be0912115308cfc44af894ec29f5737cddd3d703222d025e6726ba929dedb1e",
+    "young_internal_incoherent/streams=1": "cc4c6493864c2f403abf855d92ac155a7d44bcfc732dc51ffbbf6134add3cdab",
+    "young_internal_incoherent/streams=3": "2914950998aa759d7665193419e8e99f5ef66ddd0114a0e778f4fc43292c2b1c",
+    "young_micromaser/streams=1": "4621e40771f3e49f2ed54130b4516150a9f1e07b18bbdd676e2b12daee38b3f9",
+    "young_micromaser/streams=3": "832904300402689849bdc9626daf2eb40906b1112bd2549714f973ed6f06af2a",
+    "young_single_cavity/streams=1": "a97fb62b7ceb730a948cdbca5c2250711a307fdbeefcdd7a8d1193542b48ab99",
+    "young_single_cavity/streams=3": "87d324384eefb1171d29f1ad4b6ec75b72bdaedea0b535ccd2eae9982dc0fdf6",
+    "mz_with_bs2/streams=1": "257312a99771f2530e236869a27bb55319acd25baf4d048ec866dc7ba9899a24",
+    "mz_with_bs2/streams=3": "9fccdbf7467961fc5389075a30d0653a65ebc5ed5a0e87ef9948f45cb4ac573c",
+    "mz_without_bs2/streams=1": "d4cef85d1a657815796c8ead0bdc0d9bcc7555530864489dac30f70b25e01874",
+    "mz_without_bs2/streams=3": "ef8cb2b214c69ab86406d8d1eeb91c937980643efa9935f2fee996ac322b29bc",
+    "mz_weak_screen/streams=1": "8dadb40e892d4337b4b86480883bb6a4693ba9451614c6e5e8bbde8262fcad4f",
+    "mz_weak_screen/streams=3": "34ed0d237bff85f8e0a5a6fb1f56ac2d3902193d04cb7a06dcf8ea904263303e",
+    "eraser_modulation/streams=1": "5b10c6802f9d37e809136b2f21f2f52a30109efec23f6e73bdb6700d720b6d4a",
+    "eraser_modulation/streams=3": "ca08835b8d677793c3ba1ffbbb867cf780f09cf7780c81797e308da9fc62d3fd",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_BLOCKED_DIGESTS))
+def test_runs_over_many_particle_blocks_keep_their_bytes(tmp_path, key):
+    preset, streams = key.split("/streams=")
+    config = build_preset(preset)
+    path = tmp_path / "events.csv"
+    write_events_csv(run_experiment(config, 12_293, 7, n_streams=int(streams)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _BLOCKED_DIGESTS[key]
+    # streamed as simulate writes it, block by block
+    path.unlink()
+    assert write_event_logs(map(EventLog, event_blocks(config, 12_293, 7, int(streams))), path) == len(
+        read_events_csv(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _BLOCKED_DIGESTS[key]
+    if streams == "1":
+        path.unlink()
+        assert main(["simulate", "--preset", preset, "--events", "12293", "--seed", "7", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _BLOCKED_DIGESTS[key]

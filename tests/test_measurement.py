@@ -181,6 +181,10 @@ def test_weak_screen_validation_and_absorb_fraction():
         WeakScreen(0.99, 0.02)
     with pytest.raises(ValueError):
         WeakScreen(-0.1, 0.5)
+    # the 99:1 split is the mz_weak_screen preset's, not a default of the film
+    for fractions in ((), (0.99,)):
+        with pytest.raises(TypeError):
+            WeakScreen(*fractions)
 
 
 def test_screen_outcome_point_discipline():
