@@ -6,7 +6,7 @@ records=False, and analyze and eraser read the events CSV into columns.
 Each row is checked once, when the EventLog holding it is built.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
-value, unknown preset, out-of-range seed or count), 3 runtime failure
+value, unknown preset, out-of-range seed, count or gamma), 3 runtime failure
 (missing or malformed event log, unwritable output, no analyzable field).
 """
 
@@ -188,6 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_eraser(args: argparse.Namespace) -> int:
     _check_at_least("--bins", args.bins, 2)
+    if not -1.0 <= args.gamma <= 1.0:  # NaN too
+        raise ConfigError(f"--gamma must lie in [-1, 1], got {args.gamma!r}")
     log = read_events_csv(args.events)
     experiments = log.column("experiment")
     if experiments.size == 0:

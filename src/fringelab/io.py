@@ -15,7 +15,7 @@ import stat
 from collections import deque
 from collections.abc import Iterable
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Union
 
@@ -30,15 +30,6 @@ METRICS_HEADER = "metric,value,flag"
 SWEEP_HEADER = "param_value,visibility,distinguishability,duality_lhs"
 
 PathLike = Union[str, Path]
-
-
-def _fmt(value) -> str:
-    """Empty cell for None, shortest round-trip digits for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _float_cells(values: np.ndarray):
@@ -89,22 +80,25 @@ def _block_columns(c: EventColumns, block: slice, ids: range) -> list:
     ]
 
 
-def _rows(columns: list) -> list[str]:
-    """Each row's cells joined with commas. A str column is formatted
-    once: runs of them merge with their commas into one literal that
-    every row repeats, and only the other columns are read per row."""
-    pieces, literal = [], ""
+def _block_text(columns: list, n: int) -> str:
+    """The n rows of columns, each ending with a newline, from one join.
+    A str column is formatted once: runs of them merge with their commas
+    into one literal, the last one carrying the newline. One row of pieces
+    is repeated n times and each varying column fills its slice of that."""
+    row, literal = [], ""
     for k, cells in enumerate(columns):
         literal += "," if k else ""
         if isinstance(cells, str):
             literal += cells
             continue
-        pieces += (repeat(literal), cells) if literal else (cells,)
+        row += (literal, cells) if literal else (cells,)
         literal = ""
-    if literal:
-        pieces.append(repeat(literal))
-    # the varying columns end the zip: the ids always vary
-    return list(map("".join, zip(*pieces)))
+    row.append(literal + "\n")
+    pieces = row * n
+    for k, cells in enumerate(row):
+        if not isinstance(cells, str):
+            pieces[k::len(row)] = cells
+    return "".join(pieces)
 
 
 #: Rows formatted per block, as many as a streamed run draws per block:
@@ -135,9 +129,8 @@ def write_event_logs(logs: Iterable[EventLog], path: PathLike) -> int:
         while log is not None:
             for first in range(0, len(log), WRITE_BLOCK):
                 stop = min(first + WRITE_BLOCK, len(log))
-                rows = _rows(_block_columns(log._columns, slice(first, stop), range(written + first, written + stop)))
-                rows.append("")  # every row ends with a newline
-                out.write("\n".join(rows))
+                columns = _block_columns(log._columns, slice(first, stop), range(written + first, written + stop))
+                out.write(_block_text(columns, stop - first))
             written += len(log)
             try:
                 log = next(logs, None)
@@ -352,7 +345,7 @@ def write_metrics_csv(metrics: FringeMetrics, path: PathLike) -> None:
     else:
         rows.append(("duality_lhs", metrics.duality.lhs, "satisfied" if metrics.duality.satisfied else "violated"))
     lines = [METRICS_HEADER]
-    lines.extend(f"{name},{_fmt(value)},{flag}" for name, value, flag in rows)
+    lines.extend(f"{name},{'' if value is None else repr(value)},{flag}" for name, value, flag in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

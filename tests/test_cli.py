@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fringelab import experiments, montecarlo
+from fringelab import cli, experiments, montecarlo
 from fringelab.cli import main
 from fringelab.config import build_preset, parse_config, serialize_config
 from fringelab.io import (
@@ -228,8 +228,29 @@ def test_eraser_restores_fringes(tmp_path, capsys):
 def test_eraser_gamma_out_of_range(tmp_path, capsys):
     events = simulate(tmp_path, "eraser_modulation", 500)
     code = run("eraser", "--events", events, "--gamma", 1.5, "--out", tmp_path / "m.csv")
-    assert code == 3
+    assert code == 2
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "5", "-1.0000001"])
+@pytest.mark.parametrize("log", ["written", "missing"])
+def test_eraser_bad_gamma_is_refused_before_the_log_is_read(tmp_path, capsys, monkeypatch, gamma, log):
+    events = simulate(tmp_path, "eraser_modulation", 500) if log == "written" else tmp_path / "missing.csv"
+
+    def no_read(path):
+        raise AssertionError("the events CSV was read")
+
+    monkeypatch.setattr(cli, "read_events_csv", no_read)
+    capsys.readouterr()
+    assert run("eraser", "--events", events, "--gamma", gamma, "--out", tmp_path / "m.csv") == 2
+    assert capsys.readouterr().err == f"fringelab: config error: --gamma must lie in [-1, 1], got {float(gamma)!r}\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("gamma", ["-1", "1", "-0.0"])
+def test_eraser_takes_gamma_at_the_ends_of_its_range(tmp_path, gamma):
+    events = simulate(tmp_path, "eraser_modulation", 500)
+    assert run("eraser", "--events", events, "--gamma", gamma, "--out", tmp_path / "m.csv") == 0
 
 
 def test_eraser_empty_log(tmp_path):

@@ -423,6 +423,45 @@ def test_writer_matches_a_row_by_row_reference(tmp_path, monkeypatch, names, row
         assert path.read_bytes() == _reference_events_csv(log), block
 
 
+def _assert_writes_as_joined(path, monkeypatch, logs):
+    """write_event_logs over logs writes the bytes, and returns the rows, of one log holding their rows in order."""
+    joined = EventLog(EventColumns(*map(np.concatenate, zip(*(log._columns[:-1] for log in logs)))))
+    for block in (1, 3, 1000):
+        monkeypatch.setattr("fringelab.io.WRITE_BLOCK", block)
+        assert write_event_logs(iter(logs), path) == len(joined), block
+        assert path.read_bytes() == _reference_events_csv(joined), block
+
+
+def test_several_logs_write_as_one_log_of_their_rows(tmp_path, monkeypatch):
+    # empty logs before, between and after others, and a name and a stream per log
+    logs = [EventLog(event_columns(*rows)) for rows in (
+        (),
+        [("first", 0.1 * k, None, None, None, None, None, 7) for k in range(5)],
+        (),
+        (),
+        [("second", None, "xy"[k % 2], None, None, None, None, 2**64 - 1) for k in range(4)],
+        [("third", None, None, 1, 0, 0.5, -0.25, k % 2) for k in range(3)],
+        (),
+        [("first", -1.5, None, 0, 0, None, None, 7)],
+        (),
+    )]
+    _assert_writes_as_joined(tmp_path / "events.csv", monkeypatch, logs)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(logs=st.lists(st.tuples(
+    st.lists(_NAMES, min_size=1, max_size=2),
+    st.lists(st.sampled_from((0, 1, 2**64 - 1)), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(0, 1), _TERMINALS, _COUNTS, st.integers(0, 1)), max_size=8),
+), min_size=2, max_size=5))
+def test_several_logs_write_as_their_join(tmp_path, monkeypatch, logs):
+    # each log draws its own names and streams, and many draw no rows at all
+    logs = [EventLog(event_columns(*((names[i % len(names)], x, port, *counts, *xy, streams[j % len(streams)])
+                                     for i, (x, port, xy), counts, j in rows)))
+            for names, streams, rows in logs]
+    _assert_writes_as_joined(tmp_path / "events.csv", monkeypatch, logs)
+
+
 _MANY_ROWS = [f"{i},run,0.1,,,,,,0" for i in range(10_000)]  # about 190 KB, three default chunks
 
 
