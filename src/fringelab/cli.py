@@ -6,8 +6,9 @@ records=False, and analyze and eraser read the events CSV into columns.
 Each row is checked once, when the EventLog holding it is built.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
-value, unknown preset, out-of-range seed, count or gamma), 3 runtime failure
-(missing or malformed event log, unwritable output, no analyzable field).
+value, unknown preset, out-of-range seed, count or gamma, non-finite
+sweep bounds), 3 runtime failure (missing or malformed event log,
+unwritable output, no analyzable field).
 """
 
 from __future__ import annotations
@@ -164,6 +165,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     _check_at_least("--steps", args.steps, 1)
     _check_at_least("--events", args.events, 1)
+    for option, value in (("--from", args.start), ("--to", args.stop)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{option} must be finite, got {value!r}")
+    if not np.isfinite(args.stop - args.start):  # np.linspace would step by inf
+        raise ConfigError(f"--to minus --from must be finite, got {args.stop!r} - {args.start!r}")
     text = _load_config_text(args.config)
     lines = [SWEEP_HEADER]
     for value in np.linspace(args.start, args.stop, args.steps).tolist():

@@ -6,12 +6,16 @@ round-trips, and lines always end with a bare newline. The events CSV
 is written from a log's EventColumns and read back into them; neither
 direction builds a DetectionEvent. The reader only decodes cells; the
 EventLog it builds holds them to the row rules, EventColumns.check().
+It decodes a chunk's ids with one numpy parse and its coded columns by
+table where the cells allow, falling back to int() and a per-cell decode
+that accept the same spellings and word each error the same way.
 """
 
 from __future__ import annotations
 
 import os
 import stat
+import warnings
 from collections import deque
 from collections.abc import Iterable
 from functools import partial
@@ -158,7 +162,11 @@ _PORT_CODES = {"": -1, **{port: code for code, port in enumerate(MZ_PORTS)}}
 def _float_column(cells: list[str]) -> np.ndarray:
     """Cells parsed with float(), NaN where a cell is empty; a present
     value must be finite, since NaN marks the empty cell."""
-    present = list(filter(None, cells)) if "" in cells else cells
+    present = cells
+    if "" in cells:
+        if cells.count("") == len(cells):
+            return np.full(len(cells), np.nan)
+        present = list(filter(None, cells))
     values = np.fromiter(map(float, present), dtype=float, count=len(present))
     finite = np.isfinite(values)
     if not finite.all():
@@ -166,20 +174,26 @@ def _float_column(cells: list[str]) -> np.ndarray:
     if len(present) == len(cells):
         return values
     out = np.full(len(cells), np.nan)
-    if present:
-        out[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = values
+    out[np.fromiter(map(bool, cells), dtype=bool, count=len(cells))] = values
     return out
 
 
 def _coded_column(cells: list[str], decode, dtype) -> np.ndarray:
     """decode applied once per distinct cell and spread over the cells;
-    decode raises ValueError on a bad cell."""
-    distinct = set(cells)
-    if len(distinct) == 1:
+    decode raises ValueError on a bad cell. One repeated cell fills the
+    column; one-ASCII-character cells index a 128-entry table of values by
+    the bytes of their join; other cells map through a dict of values."""
+    if cells and cells.count(cells[0]) == len(cells):
         column = np.empty(len(cells), dtype=dtype)
         column[:] = decode(cells[0])  # np.full would copy a string into every object cell
         return column
-    values = {cell: decode(cell) for cell in distinct}
+    chars = "".join(cells)
+    if len(chars) == len(cells) and chars.isascii() and "" not in cells:
+        table = np.empty(128, dtype=dtype)
+        for char in set(chars):
+            table[ord(char)] = decode(char)
+        return table[np.frombuffer(chars.encode("ascii"), dtype=np.uint8)]
+    values = {cell: decode(cell) for cell in set(cells)}
     return np.fromiter(map(values.__getitem__, cells), dtype=dtype, count=len(cells))
 
 
@@ -199,13 +213,31 @@ def _photon_count(name: str, cell: str) -> int:
     return count
 
 
+def _dense_ids(text: str, first_id: int, n: int) -> bool:
+    """Whether text, n id cells joined by commas, holds the ids first_id on,
+    by one numpy parse; False when it cannot tell. numpy reads a lone sign
+    or blank as 0, where int() refuses it, so only ASCII digits and commas
+    are parsed; numpy before 2 warns at unmatched text where 2 raises."""
+    if not text.isascii() or text.encode().translate(None, b"0123456789,"):
+        return False
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            ids = np.fromstring(text, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return False
+    return ids.size == n and bool((ids == np.arange(first_id, first_id + n)).all())
+
+
 def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) -> tuple:
     """Columns of consecutive events CSV rows whose first holds event id
     first_id, in EventColumns field order.
 
     Only the cells are decoded here; each decode runs on whole columns and
-    raises ValueError without a location. experiments maps each distinct
-    name met so far to the first string that spelled it; new names join it.
+    raises ValueError without a location. The ids are checked by one numpy
+    parse (_dense_ids) and, when that cannot tell, parsed again with int()
+    for the error. experiments maps each distinct name met so far to the
+    first string that spelled it; new names join it.
     """
     n = len(rows)
     # a "\n" cell, which no row can hold, follows each row: every row has
@@ -216,10 +248,11 @@ def _parse_block(rows: list[str], first_id: int, experiments: dict[str, str]) ->
         raise ValueError(f"expected 9 fields, got {got}")
     ids, names, screen_x, ports, cav1, cav2, scatter_x, scatter_y, streams = (cells[k::10] for k in range(9))
     del cells
-    ids = list(map(int, ids))
-    if ids != list(range(first_id, first_id + n)):
-        position, got = next((p, i) for p, i in enumerate(ids, first_id) if p != i)
-        raise ValueError(f"event ids must be dense from 0; position {position} holds id {got}")
+    if not _dense_ids(",".join(ids), first_id, n):
+        ids = list(map(int, ids))
+        if ids != list(range(first_id, first_id + n)):
+            position, got = next((p, i) for p, i in enumerate(ids, first_id) if p != i)
+            raise ValueError(f"event ids must be dense from 0; position {position} holds id {got}")
     experiment = _coded_column(names, lambda name: experiments.setdefault(name, name), object)
     screen_x = _float_column(screen_x)
     mz_port = _coded_column(ports, _port_code, np.int8)
@@ -293,12 +326,13 @@ def read_events_csv(path: PathLike) -> EventLog:
     with zero total photons can only come from single-cavity tagging and
     read back in that mode, but a young_single_cavity log's slit-1 rows
     (counts 1, 0) read back outside it. The text is read and decoded a
-    chunk of about READ_BLOCK rows at a time, cell values with int() and
-    float(), so the whole text is never held; the blocks of columns are
-    joined into one EventLog, which checks them once. When a block fails
-    to decode or the log refuses a row, the ValueError cites the first bad
-    row's path:line, as does a non-UTF-8 byte, which is cited first
-    wherever it is. Blank lines are skipped but counted.
+    chunk of about READ_BLOCK rows at a time, floats with float() and ids
+    by one numpy parse, or int() where that misses, so the whole text is
+    never held; the blocks of columns are joined into one EventLog, which
+    checks them once. When a block fails to decode or the log refuses a
+    row, the ValueError cites the first bad row's path:line, as does a
+    non-UTF-8 byte, which is cited first wherever it is. Blank lines are
+    skipped but counted.
     """
     chunks = _chunks(path)
     experiments: dict[str, str] = {}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,29 @@ def test_sweep_unknown_param(tmp_path):
     assert run("sweep", "--config", cfg, "--param", "bogus_knob",
                "--from", 0.0, "--to", 1.0, "--steps", 2,
                "--events", 10, "--seed", 5, "--out", tmp_path / "s.csv") == 2
+
+
+@pytest.mark.parametrize("start,stop,message", [
+    ("0", "inf", "--to must be finite, got inf"),
+    ("-inf", "1", "--from must be finite, got -inf"),
+    ("nan", "1", "--from must be finite, got nan"),
+    ("0", "nan", "--to must be finite, got nan"),
+    # each bound is finite, but the span overflows
+    ("-1.7e308", "1.7e308", "--to minus --from must be finite, got 1.7e+308 - -1.7e+308"),
+])
+def test_sweep_refuses_bounds_that_are_not_finite(tmp_path, capsys, start, stop, message):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset("young_baseline")))
+    out = tmp_path / "s.csv"
+    for config in (cfg, tmp_path / "missing.cfg"):  # refused before the config is read
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            code = run("sweep", "--config", config, "--param", "detector_overlap", f"--from={start}", f"--to={stop}",
+                       "--steps", 3, "--events", 10, "--seed", 5, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"fringelab: config error: {message}\n"
+        assert not leaked
+        assert not out.exists()
 
 
 def test_eraser_restores_fringes(tmp_path, capsys):

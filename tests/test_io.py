@@ -5,6 +5,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +626,92 @@ def test_chunked_reads_match_a_one_chunk_read(tmp_path, monkeypatch, data):
     for block in (1, 2):
         monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
         assert _read_outcome(path) == whole, block
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("no numpy parse")
+
+
+def _reference_coded_column(cells, decode, dtype):
+    """Every coded column decoded through a dict of its distinct cells: no fill, no table."""
+    values = {cell: decode(cell) for cell in set(cells)}
+    return np.fromiter(map(values.__getitem__, cells), dtype=dtype, count=len(cells))
+
+
+def _outcome_and_dtypes(path):
+    outcome = _read_outcome(path)
+    return outcome, None if isinstance(outcome, str) else [column.dtype for column in outcome._columns[:-1]]
+
+
+_SCREEN_ROWS = ["0,run,0.1,,1,0,,,0", "1,run,0.2,,0,1,,,1", "2,run,0.3,,1,0,,,0"]
+_PORT_ROWS = ["0,run,,x,,,,,0", "1,run,,y,,,,,0", "2,run,,x,,,,,0"]
+# port and cavity columns of an empty and a one-character cell: "+1" beside "" joins to two characters
+_MIXED_ROWS = ["0,run,0.1,,,,,,0", "1,run,,y,1,0,,,0"]
+_CODE_SPELLINGS = ("+1", "١", "2", "a", "X", "z", "0", "1", "x", "y", "", " 1", "10")
+# (what, rows, row, field, spellings): each spelling in turn replaces that cell of that row
+_SPELLINGS = [
+    ("id 0", _SCREEN_ROWS, 0, 0, ("00", "-0", "+0", " 0", "0 ", "\t0", "", "-", "+", " ", "\t", "٠", "0_0")),
+    ("id 1", _SCREEN_ROWS, 1, 0, ("00", "01", "+1", " 1", "1 ", "1_0", "١", "１", "-0", "-1", "1.0", "1e0", "0x1",
+                                  "", "5", "0", "2", "+", "-", " ", str(2**63), str(2**64), str(2**63 + 1))),
+    ("name", _SCREEN_ROWS, 1, 1, _CODE_SPELLINGS),
+    ("cavity", _SCREEN_ROWS, 1, 4, _CODE_SPELLINGS),
+    ("stream", _SCREEN_ROWS, 1, 8, _CODE_SPELLINGS),
+    ("port", _PORT_ROWS, 1, 3, _CODE_SPELLINGS),
+    ("cavity beside empty cells", _MIXED_ROWS, 1, 4, _CODE_SPELLINGS),
+    ("port beside empty cells", _MIXED_ROWS, 1, 3, _CODE_SPELLINGS),
+]
+
+
+def _spelled_files(path, rows, row, field, spellings):
+    """Write each spelling into field field of row row of rows at path in turn, yielding it."""
+    for spelling in spellings:
+        cells = rows[row].split(",")
+        cells[field] = spelling
+        path.write_text("\n".join([EVENTS_HEADER, *rows[:row], ",".join(cells), *rows[row + 1:]]) + "\n",
+                        encoding="utf-8")
+        yield spelling
+
+
+@pytest.mark.parametrize("what,rows,row,field,spellings", _SPELLINGS, ids=[what for what, *_ in _SPELLINGS])
+def test_fast_decode_reads_each_spelling_as_the_plain_decode_does(tmp_path, monkeypatch, what, rows, row, field,
+                                                                  spellings):
+    # the same log, dtypes included, or the same path:line message as int() and a per-cell decode give
+    path = tmp_path / "events.csv"
+    for spelling in _spelled_files(path, rows, row, field, spellings):
+        for block in (1024, 1):
+            monkeypatch.setattr("fringelab.io.READ_BLOCK", block)
+            fast = _outcome_and_dtypes(path)
+            with monkeypatch.context() as plain:
+                plain.setattr(np, "fromstring", _refuse)
+                plain.setattr("fringelab.io._coded_column", _reference_coded_column)
+                assert fast == _outcome_and_dtypes(path), (spelling, block)
+
+
+def _fromstring_before_numpy_2(text, dtype, sep):
+    """np.fromstring(text, dtype=dtype, sep=sep) as numpy 1.24-1.26 runs it:
+    at unmatched text it warns DeprecationWarning and returns the values read."""
+    values = []
+    for cell in text.split(sep) if text else []:
+        read = re.match(r"\s*[+-]?\d+", cell)
+        if read:  # strtoll clamps to the int64 range
+            values.append(min(max(int(read.group()), -2**63), 2**63 - 1))
+        if not read or cell[read.end():].strip():
+            warnings.warn("string or file could not be read to its end due to unmatched data; "
+                          "this will raise a ValueError in the future.", DeprecationWarning, stacklevel=2)
+            break
+    return np.array(values, dtype=dtype)
+
+
+@pytest.mark.parametrize("what,rows,row,field,spellings", _SPELLINGS[:2], ids=[what for what, *_ in _SPELLINGS[:2]])
+def test_a_numpy_before_2_that_warns_reads_as_numpy_2_does(tmp_path, monkeypatch, what, rows, row, field, spellings):
+    path = tmp_path / "events.csv"
+    for spelling in _spelled_files(path, rows, row, field, (*spellings, "0,", ",0")):  # commas numpy parses too
+        expected = _outcome_and_dtypes(path)
+        with monkeypatch.context() as old, warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            old.setattr(np, "fromstring", _fromstring_before_numpy_2)
+            assert _outcome_and_dtypes(path) == expected, spelling
+        assert not escaped, spelling
 
 
 # SHA-256 of each preset's events CSV at 12 293 events, seed 7, recorded before runs
