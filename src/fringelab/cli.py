@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     er.add_argument("--gamma", type=float, required=True, help="modulation weight in [-1, 1]")
     er.add_argument("--bins", type=int, default=128, help="histogram bins (default 128)")
     er.add_argument("--out", required=True, help="output modulated histogram CSV path")
+    for each in (parser, *sub.choices.values()):  # argparse's own pattern takes -1e-3 for an option
+        each._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

@@ -57,6 +57,30 @@ def test_histogram_validation():
         FringeHistogram.from_values([0.5], 4, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("edges,counts,n_dropped,message", [
+    ([[0.0, 1.0]], [1.0], 0, "bin_edges must be a 1-D array of at least two edges"),
+    ([0.0], [], 0, "bin_edges must be a 1-D array of at least two edges"),
+    ([0.0, np.nan, 1.0], [1.0], 0, "bin_edges must be finite"),
+    ([0.0, 1.0, np.inf], [1.0], 0, "bin_edges must be finite"),
+    ([0.0, 1.0, 1.0], [1.0, 1.0], 0, "bin_edges must be strictly increasing"),
+    ([0.0, 1.0, 0.5], [1.0], 0, "bin_edges must be strictly increasing"),
+    ([0.0, 1.0, 2.0], [1.0], 0, "need 2 counts for 3 edges, got 1"),
+    ([0.0, 1.0], [[1.0]], 0, "need 1 counts for 2 edges, got 1"),
+    ([0.0, 1.0, 2.0], [np.inf, -1.0], 0, "counts must be finite"),
+    ([0.0, 1.0], [-1.0], -1, "counts must be nonnegative"),
+    ([0.0, 1.0], [1.0], -1, "n_dropped must be nonnegative"),
+])
+def test_histogram_checks_run_in_order_with_their_messages(edges, counts, n_dropped, message):
+    with pytest.raises(ValueError) as raised:
+        FringeHistogram(np.array(edges), np.array(counts), n_dropped)
+    assert str(raised.value) == message
+
+
+def test_histogram_takes_edges_whose_difference_overflows():
+    h = FringeHistogram(np.array([-1e308, 1e308]), np.array([1.0]))  # 2e308 is past the largest float
+    assert h.n_bins == 1
+
+
 def test_histogram_from_values_counts_and_drops():
     h = FringeHistogram.from_values([0.1, 0.2, 0.6, 1.4, -3.0], 2, (0.0, 1.0))
     np.testing.assert_array_equal(h.counts, [2.0, 1.0])
@@ -271,3 +295,49 @@ def test_column_and_record_logs_analyze_alike(tmp_path, preset):
         assert h_columns.n_dropped == h_records.n_dropped
         assert compute_metrics(h_columns, columns) == compute_metrics(h_records, records)
     assert columns._events is None  # none of it built a record
+
+
+def mean_reference(h, window=None):
+    """(visibility, fringe spacing) with the extrema levels and the peak
+    spacing averaged by np.mean, for a bit-for-bit comparison."""
+    maxima, minima = local_extrema(smooth3(h.counts))
+    centers = h.bin_centers()
+    spacing = float(np.mean(np.diff(centers[maxima]))) if len(maxima) >= 2 else None
+    if window is not None:
+        maxima = [i for i in maxima if window[0] <= centers[i] <= window[1]]
+        minima = [i for i in minima if window[0] <= centers[i] <= window[1]]
+    if len(maxima) + len(minima) < 3 or not maxima or not minima:
+        return None, spacing
+    i_max, i_min = float(np.mean(h.counts[maxima])), float(np.mean(h.counts[minima]))
+    if i_max + i_min <= 0.0:
+        return None, spacing
+    return max(0.0, (i_max - i_min) / (i_max + i_min)), spacing
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2000) | st.floats(0.0, 1e6), st.floats(1e-6, 1e3)), min_size=2, max_size=200),
+    st.floats(-1e3, 1e3),
+    st.none() | st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0)),
+)
+def test_visibility_and_spacing_match_an_np_mean_reference(bins, lo, window):
+    counts, widths = (np.array(column, dtype=float) for column in zip(*bins))
+    edges = np.concatenate([[lo], lo + np.cumsum(widths)])  # uneven bins, so the peak spacings differ
+    h = FringeHistogram(edges, counts)
+    if window is not None:  # a window over a share of the axis
+        window = (edges[0] + window[0] * (edges[-1] - edges[0]), edges[0] + window[1] * (edges[-1] - edges[0]))
+    v_ref, spacing_ref = mean_reference(h, window)
+    assert repr(visibility(h, window).value) == repr(v_ref)
+    assert repr(fringe_spacing(h).value) == repr(spacing_ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_visibility_and_spacing_match_an_np_mean_reference_on_noisy_counts(seed):
+    rng = np.random.Generator(np.random.Philox(key=[seed, 17]))
+    for n_bins in rng.integers(8, 200, 50):
+        edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, n_bins))])
+        h = FringeHistogram(edges, rng.uniform(0.0, 1000.0, n_bins))
+        window = (0.2 * edges[-1], 0.7 * edges[-1])
+        for w in (None, window):
+            v_ref, spacing_ref = mean_reference(h, w)
+            assert repr(visibility(h, w).value) == repr(v_ref), seed
+            assert repr(fringe_spacing(h).value) == repr(spacing_ref), seed

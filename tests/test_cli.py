@@ -239,6 +239,42 @@ def test_sweep_refuses_bounds_that_are_not_finite(tmp_path, capsys, start, stop,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--from", "-1e-3", "--to", "-2e-3"],
+    ["--from", "-1E-3", "--to", "-2.0e-3"],
+    ["--from=-1e-3", "--to=-2e-3"],
+    ["--from", "-0.001", "--to", "-.002"],
+])
+def test_sweep_takes_negative_bounds_in_every_spelling(tmp_path, capsys, bounds):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset("young_baseline")))
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--config", cfg, "--param", "detector_overlap_phase", *bounds,
+               "--steps", 2, "--events", 50, "--seed", 5, "--out", out) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["-0.001", "-0.002"]
+
+
+@pytest.mark.parametrize("gamma", [["--gamma", "-5e-1"], ["--gamma", "-0.5"], ["--gamma=-5e-1"], ["--gamma", "-.5E0"]])
+def test_eraser_takes_a_negative_gamma_in_every_spelling(tmp_path, capsys, gamma):
+    events = simulate(tmp_path, "eraser_modulation", 500)
+    capsys.readouterr()
+    assert run("eraser", "--events", events, *gamma, "--out", tmp_path / "m.csv") == 0
+    assert "modulated visibility (gamma=-0.5):" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eraser", "--events", "e.csv", "--gamma", "0.5", "-x", "--out", "m.csv"],
+    ["eraser", "--events", "e.csv", "--gamma", "-x", "--out", "m.csv"],
+    ["sweep", "--config", "c.cfg", "--param", "p", "--from", "-e3", "--to", "1",
+     "--steps", "2", "--events", "5", "--seed", "1", "--out", "s.csv"],
+])
+def test_an_unknown_option_still_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_eraser_restores_fringes(tmp_path, capsys):
     events = simulate(tmp_path, "eraser_modulation", 20000)
     out = tmp_path / "modulated.csv"

@@ -4,8 +4,13 @@ Each test replays the same identities on a batch of generator-driven
 inputs; failures print the offending seed through the assertion message.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fringelab.analysis import FringeHistogram, visibility
 from fringelab.composite import (
@@ -178,3 +183,75 @@ def test_histogram_addition_matches_pooled_values(seed):
     combined = ha + hb
     np.testing.assert_array_equal(combined.counts, pooled.counts)
     assert combined.n_dropped == pooled.n_dropped
+
+
+# --- binning ---
+
+def assert_bins_like_numpy(values, n_bins, value_range):
+    """from_values gives np.histogram's counts, edges and drops bit for bit,
+    or fails with its message."""
+    values = np.asarray(values, dtype=float)
+    try:
+        counts, edges = np.histogram(values, n_bins, value_range)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            FringeHistogram.from_values(values, n_bins, value_range)
+        assert str(raised.value) == str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN cast to a bin index warns
+        h = FringeHistogram.from_values(values, n_bins, value_range)
+    assert h.counts.tobytes() == counts.astype(float).tobytes()
+    assert h.bin_edges.tobytes() == edges.tobytes()
+    assert h.n_dropped == values.size - int(counts.sum())
+
+
+def edge_values(n_bins, lo, hi, spread=()):
+    """Every edge and one ulp either side of it, NaN, +-inf, and the values
+    lo + s * (hi - lo) for s in spread."""
+    edges = np.linspace(lo, hi, n_bins + 1)
+    scaled = lo + np.asarray(spread, dtype=float) * (hi - lo)
+    special = [math.nan, math.inf, -math.inf]
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), scaled, special])
+
+
+@st.composite
+def binnings(draw):
+    n_bins = draw(st.integers(2, 300))
+    lo = draw(st.floats(-1e300, 1e300))
+    width = draw(st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300]))
+    hi = lo + width if lo + width > lo else math.nextafter(lo, math.inf)
+    values = edge_values(n_bins, lo, hi, draw(st.lists(st.floats(-0.5, 1.5), max_size=40)))
+    # all of them, or a few, so that a block can hold a single drop or none
+    picks = draw(st.none() | st.lists(st.integers(0, values.size - 1), max_size=30))
+    return (values if picks is None else values[picks]), n_bins, (lo, hi)
+
+
+@given(binnings())
+@example((edge_values(2, 0.0, 5e-324), 2, (0.0, 5e-324)))  # too many bins for a denormal range
+@example((edge_values(300, -1e300, 0.0), 300, (-1e300, 0.0)))
+def test_from_values_bins_like_numpy(binning):
+    assert_bins_like_numpy(*binning)
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537])
+def test_from_values_bins_like_numpy_across_blocks(size):
+    pool = edge_values(37, -0.3, 1.7, rng_for(size).uniform(-0.2, 1.2, 500))
+    values = np.resize(pool, size)
+    if size:
+        values[-1] = 1.7  # the last value sits on the closed right edge, alone in its block at 65537
+    assert_bins_like_numpy(values, 37, (-0.3, 1.7))
+
+
+@pytest.mark.parametrize("n_bins,value_range", [
+    (4, (0.0, math.inf)),
+    (4, (-math.inf, 0.0)),
+    (4, (-math.inf, math.inf)),
+    (2, (0.0, 5e-324)),
+    (3, (1.0, math.nextafter(1.0, 2.0))),
+    (300, (0.0, 1e-320)),
+])
+def test_from_values_refuses_a_range_with_numpy_s_message(n_bins, value_range):
+    with pytest.raises(ValueError, match="is not finite|Too many bins"):
+        np.histogram([0.5], n_bins, value_range)
+    assert_bins_like_numpy([0.5], n_bins, value_range)
