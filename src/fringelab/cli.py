@@ -80,8 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
     er.add_argument("--gamma", type=float, required=True, help="modulation weight in [-1, 1]")
     er.add_argument("--bins", type=int, default=128, help="histogram bins (default 128)")
     er.add_argument("--out", required=True, help="output modulated histogram CSV path")
-    for each in (parser, *sub.choices.values()):  # argparse's own pattern takes -1e-3 for an option
-        each._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    # argparse's own pattern takes -1e-3 and -inf for options; this one takes
+    # float()'s negative spellings, non-finite ones in any case, for values
+    negative = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = negative
     return parser
 
 

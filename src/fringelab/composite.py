@@ -17,7 +17,9 @@ cross term, and random extra phases wash it out on ensemble average.
 
 States that differ only in their internal, detector or noise factors,
 such as the steps of an overlap sweep, share the slits' waves on a grid:
-the last ones computed are kept, read-only (see slit_branch_amplitude).
+the last ones computed are kept, read-only. States that differ only in
+slit width or slit amplitudes share each slit's phasor e^{i phase} and the
+envelope (see slit_branch_amplitude).
 """
 
 from __future__ import annotations
@@ -162,12 +164,26 @@ class CompositeState:
         return inner(b1.internal, b2.internal) * inner(b1.detector, b2.detector)
 
 
-#: The slit waves last computed on an array grid, as (key, {slit: wave}):
-#: one geometry's two waves at a time, about 200 KB on the 4096-cell
-#: sampling grid with the grid's bytes in the key. A new key replaces the
-#: pair and a dict only gains waves of its own key, so a caller holding a
-#: pair never reads another key's wave.
+#: The slit waves last computed on an array grid, as (key, {slit: wave}).
+#: The key is _wave_key's: geometry, slit amplitudes, beam, envelope flag
+#: and x's dtype, shape and bytes. It holds one geometry's two waves at a
+#: time, about 160 KB on the 4096-cell sampling grid with x's bytes. A new
+#: key replaces the pair and a dict only gains waves of its own key, so a
+#: caller holding a pair never reads another key's wave.
 _slit_waves: tuple = (None, {})
+
+#: Each slit's last phasor e^{i phase} on an array grid, as
+#: {slit: ((phase shape, phase bytes), phasor)}: about 96 KB a slit on the
+#: sampling grid.
+#: A wave that misses _slit_waves but keeps its transport phase, as in a
+#: sweep over slit width or a slit amplitude, reuses the phasor.
+_phasors: dict = {}
+
+#: The envelope last computed on an array grid, as (key, envelope), shared
+#: by both slits. The key is slit width, screen distance, beam and x's
+#: dtype, shape and bytes, the same bytes object as _slit_waves' key: about
+#: 32 KB on the sampling grid.
+_envelope: tuple = (None, None)
 
 
 def _wave_key(geometry: TwoSlitGeometry, beam: BeamSpec, include_envelope: bool, x):
@@ -177,6 +193,32 @@ def _wave_key(geometry: TwoSlitGeometry, beam: BeamSpec, include_envelope: bool,
         return None
     # == takes -0.0 for 0.0: the amplitudes' repr and x's bytes tell them apart
     return (geometry, repr(geometry.slit_amplitudes), beam, include_envelope, x.dtype.str, x.shape, x.tobytes())
+
+
+def _kept_phasor(slit: int, phase: np.ndarray) -> np.ndarray:
+    """e^{i phase}, computed only when phase's shape or bytes differ from
+    the last ones this slit saw."""
+    key = (phase.shape, phase.tobytes())
+    held = _phasors.get(slit)
+    if held is not None and held[0] == key:
+        return held[1]
+    phasor = np.exp(1j * phase)
+    phasor.flags.writeable = False
+    _phasors[slit] = (key, phasor)
+    return phasor
+
+
+def _kept_envelope(geometry: TwoSlitGeometry, beam: BeamSpec, wave_key: tuple, x: np.ndarray) -> np.ndarray:
+    """slit_envelope on x, computed only when slit width, screen distance,
+    beam or x differ from the last call's."""
+    global _envelope
+    key = (geometry.slit_width, geometry.screen_distance, beam, *wave_key[4:])
+    held, envelope = _envelope
+    if key != held:
+        envelope = np.asarray(slit_envelope(geometry, beam, x))
+        envelope.flags.writeable = False
+    _envelope = (key, envelope)  # a hit too: the new key shares x's bytes with _slit_waves'
+    return envelope
 
 
 def slit_branch_amplitude(
@@ -192,12 +234,23 @@ def slit_branch_amplitude(
     modulus is held flat, which isolates the interference algebra from
     diffraction; useful when checking visibility laws exactly.
 
-    On a numeric array x the wave is kept, read-only, for the next call
-    with the same geometry, beam, envelope flag and x (dtype, shape and
-    bytes), from this function or any other built on the same arguments:
-    a sweep over a key that leaves geometry and beam alone computes each
-    slit's wave once. Only the last such (geometry, beam, envelope, x)
-    is kept; a scalar x is computed every time.
+    On a numeric array x three caches serve the call, each keeping only
+    its last entry, read-only, for any function built here:
+
+    - the wave itself (_slit_waves), keyed on geometry, beam, envelope
+      flag and x (dtype, shape and bytes), for both slits: a sweep over a
+      key that leaves geometry and beam alone computes each wave once;
+    - on a wave miss, transport_phase runs and its e^{i phase} is reused
+      when the phase's shape and bytes match the slit's last (_phasors),
+      so a sweep over slit width or a slit amplitude computes no new
+      exponential;
+    - the envelope (_envelope), keyed on slit width, screen distance,
+      beam and x, computed once for both slits.
+
+    A wave is envelope * (amp * phasor) either way, the same operations in
+    the same order, so kept and fresh waves have the same bits. Together
+    the caches hold about 390 KB on the 4096-cell sampling grid. A scalar
+    x is computed every time and touches none of them.
     """
     if slit not in (1, 2):
         raise ValueError(f"slit must be 1 or 2, got {slit!r}")
@@ -207,18 +260,24 @@ def slit_branch_amplitude(
         global _slit_waves
         key = _wave_key(geometry, beam, include_envelope, x)
         held, waves = _slit_waves
-        if key is not None and key == held and slit in waves:
-            return waves[slit]
+        if key is not None and key == held:
+            if slit in waves:
+                return waves[slit]
+            key = held  # one copy of x's bytes for both slits and the envelope
         phase = np.asarray(transport_phase(geometry, beam, slit, x))
-        wave = amp * np.exp(1j * phase)
+        if key is None:
+            wave = amp * np.exp(1j * phase)
+            if include_envelope:
+                wave = np.asarray(slit_envelope(geometry, beam, x)) * wave
+            return wave
+        wave = amp * _kept_phasor(slit, phase)
         if include_envelope:
-            wave = np.asarray(slit_envelope(geometry, beam, x)) * wave
-        if key is not None:
-            wave.flags.writeable = False
-            if key != held:
-                waves = {}
-                _slit_waves = (key, waves)
-            waves[slit] = wave
+            wave = _kept_envelope(geometry, beam, key, x) * wave
+        wave.flags.writeable = False
+        if key is not held:
+            waves = {}
+            _slit_waves = (key, waves)
+        waves[slit] = wave
         return wave
 
     return amplitude

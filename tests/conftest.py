@@ -33,8 +33,11 @@ def event_columns(*rows, single_cavity=False) -> EventColumns:
 
 @pytest.fixture
 def counted_phases(monkeypatch):
-    """A cold slit-wave cache, and the transport_phase calls made since."""
+    """Cold slit-wave, phasor and envelope caches, and the transport_phase
+    calls made since."""
     monkeypatch.setattr(composite, "_slit_waves", (None, {}))
+    monkeypatch.setattr(composite, "_phasors", {})
+    monkeypatch.setattr(composite, "_envelope", (None, None))
     calls = []
     phase = composite.transport_phase
 

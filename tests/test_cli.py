@@ -265,6 +265,7 @@ def test_eraser_takes_a_negative_gamma_in_every_spelling(tmp_path, capsys, gamma
 @pytest.mark.parametrize("argv", [
     ["eraser", "--events", "e.csv", "--gamma", "0.5", "-x", "--out", "m.csv"],
     ["eraser", "--events", "e.csv", "--gamma", "-x", "--out", "m.csv"],
+    *(["eraser", "--events", "e.csv", "--gamma", option, "--out", "m.csv"] for option in ("-i", "-infx", "-nanx", "-e")),
     ["sweep", "--config", "c.cfg", "--param", "p", "--from", "-e3", "--to", "1",
      "--steps", "2", "--events", "5", "--seed", "1", "--out", "s.csv"],
 ])
@@ -273,6 +274,31 @@ def test_an_unknown_option_still_exits_2(capsys, argv):
         main(argv)
     assert exited.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--from", "-inf", "--from must be finite, got -inf"),
+    ("--from", "-Infinity", "--from must be finite, got -inf"),
+    ("--from", "-nan", "--from must be finite, got nan"),
+    ("--to", "-INF", "--to must be finite, got -inf"),
+    ("--to", "-NaN", "--to must be finite, got nan"),
+])
+def test_sweep_refuses_a_negative_non_finite_bound_given_as_its_own_argument(tmp_path, capsys, option, value, message):
+    bounds = {"--from": "0", "--to": "1", option: value}
+    out = tmp_path / "s.csv"
+    code = run("sweep", "--config", tmp_path / "missing.cfg", "--param", "detector_overlap",
+               "--from", bounds["--from"], "--to", bounds["--to"], "--steps", 3, "--events", 10, "--seed", 5,
+               "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"fringelab: config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["-inf", "-Inf", "-INFINITY", "-nan", "-NAN"])
+def test_eraser_refuses_a_negative_non_finite_gamma_given_as_its_own_argument(tmp_path, capsys, gamma):
+    assert run("eraser", "--events", tmp_path / "missing.csv", "--gamma", gamma, "--out", tmp_path / "m.csv") == 2
+    assert capsys.readouterr().err == f"fringelab: config error: --gamma must lie in [-1, 1], got {float(gamma)!r}\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_eraser_restores_fringes(tmp_path, capsys):

@@ -293,6 +293,13 @@ def _grid():
     return x
 
 
+def _cold():
+    """Clear every slit cache, so the next call computes from scratch."""
+    composite._slit_waves = (None, {})
+    composite._phasors = {}
+    composite._envelope = (None, None)
+
+
 def _negative_zero():
     x = _grid()
     x[150] = -0.0
@@ -303,6 +310,24 @@ def _one_ulp_up():
     x = _grid()
     x[7] = np.nextafter(x[7], np.inf)
     return x
+
+
+@pytest.fixture
+def counted_envelopes(monkeypatch, counted_phases):
+    """Cold slit caches, and the slit_envelope calls made since."""
+    calls = []
+    envelope = composite.slit_envelope
+
+    def counted(*args):
+        calls.append(args)
+        return envelope(*args)
+
+    monkeypatch.setattr(composite, "slit_envelope", counted)
+    return calls
+
+
+def _phasor(slit):
+    return composite._phasors[slit][1]
 
 
 # (why, geometry, beam, slit, include_envelope, x) of a call that must not
@@ -321,20 +346,37 @@ _MISSES = [
     ("x sign of zero", GEO, BEAM, 1, True, _negative_zero),
     ("x dtype, same bytes", GEO, BEAM, 1, True, lambda: _grid().view(np.int64)),
     ("x shape", GEO, BEAM, 1, True, lambda: _grid()[:-1]),
+    ("x reshaped, same bytes", GEO, BEAM, 1, True, lambda: _grid().reshape(7, 43)),
 ]
+
+# the _MISSES cases that change the transport phase's bytes, and those that
+# change the envelope's slit width, screen distance, beam or x; near k*L the
+# phase rounds away one ulp of x and the sign of a zero x
+_NEW_PHASOR = {"slit_separation", "screen_distance", "wavelength", "slit", "x dtype, same bytes", "x shape",
+               "x reshaped, same bytes"}
+_NEW_ENVELOPE = {"slit_width", "screen_distance", "wavelength", "amplitude", "x one ulp up", "x sign of zero",
+                 "x dtype, same bytes", "x shape", "x reshaped, same bytes"}
 
 
 @pytest.mark.parametrize("why,geometry,beam,slit,envelope,x", _MISSES, ids=[m[0] for m in _MISSES])
-def test_a_changed_argument_computes_a_new_wave(counted_phases, why, geometry, beam, slit, envelope, x):
+def test_a_changed_argument_computes_a_new_wave(
+    counted_phases, counted_envelopes, why, geometry, beam, slit, envelope, x
+):
     slit_branch_amplitude(GEO, BEAM, 1)(_grid())
     assert len(counted_phases) == 1
+    first = _phasor(1)
     x = x()
     wave = slit_branch_amplitude(geometry, beam, slit, envelope)(x)
     assert len(counted_phases) == 2
+    assert wave.shape == x.shape
+    assert (_phasor(slit) is not first) == (why in _NEW_PHASOR)
+    assert _phasor(1) is first or slit == 1
+    assert sorted(composite._phasors) == sorted({1, slit})
+    assert len(counted_envelopes) == 1 + (why in _NEW_ENVELOPE)
     fresh = slit_branch_amplitude(geometry, beam, slit, envelope)(x.copy())  # a hit on the new wave
     assert len(counted_phases) == 2
     assert fresh is wave
-    composite._slit_waves = (None, {})
+    _cold()
     assert slit_branch_amplitude(geometry, beam, slit, envelope)(x).tobytes() == wave.tobytes()
 
 
@@ -345,7 +387,7 @@ def test_the_sign_of_a_zero_amplitude_computes_a_new_wave(counted_phases):
     slit_branch_amplitude(plus, BEAM, 2)(_grid())
     wave = slit_branch_amplitude(minus, BEAM, 2)(_grid())
     assert len(counted_phases) == 2
-    composite._slit_waves = (None, {})
+    _cold()
     assert slit_branch_amplitude(minus, BEAM, 2)(_grid()).tobytes() == wave.tobytes()
 
 
@@ -357,7 +399,7 @@ def test_an_x_changed_in_place_computes_a_new_wave(counted_phases):
     after = amp(x)
     assert len(counted_phases) == 2
     assert not np.array_equal(after, before)
-    composite._slit_waves = (None, {})
+    _cold()
     assert amp(x).tobytes() == after.tobytes()
 
 
@@ -373,7 +415,7 @@ def test_both_slits_share_the_cache_and_a_hit_is_the_same_array(counted_phases):
 
 def test_kept_waves_are_read_only(counted_phases):
     amp = slit_branch_amplitude(GEO, BEAM, 1)
-    for wave in (amp(_grid()), amp(_grid())):  # a miss, then a hit
+    for wave in (amp(_grid()), amp(_grid()), _phasor(1), composite._envelope[1]):  # a miss, a hit, what it kept
         assert not wave.flags.writeable
         with pytest.raises(ValueError):
             wave[0] = 0.0
@@ -383,4 +425,33 @@ def test_scalar_positions_are_not_kept(counted_phases):
     amp = slit_branch_amplitude(GEO, BEAM, 1)
     assert amp(0.0) == amp(0.0)
     assert len(counted_phases) == 2
-    assert composite._slit_waves == (None, {})
+    assert (composite._slit_waves, composite._phasors, composite._envelope) == ((None, {}), {}, (None, None))
+
+
+@pytest.mark.parametrize("key,values", [
+    ("slit_width", (1e-6, 1.5e-6, 2e-6, 2.5e-6, 3e-6)),
+    ("slit_amplitudes", ((0.25, 1.0), (0.5, 1.0), (0.75, 1j), (1.0, -1.0), (1.0, 0j))),
+])
+def test_a_slit_width_or_amplitude_sweep_computes_one_phasor_per_slit(counted_envelopes, counted_phases, key, values):
+    x = _grid()
+    waves, phasors = [], []
+    for value in values:
+        state = two_slit_composite(replace(GEO, **{key: value}), BEAM)
+        waves.append((state.branch1.com_amplitude(x), state.branch2.com_amplitude(x)))
+        phasors.append((_phasor(1), _phasor(2)))
+    assert len(counted_phases) == 2 * len(values)
+    assert all(p1 is phasors[0][0] and p2 is phasors[0][1] for p1, p2 in phasors)
+    assert len(counted_envelopes) == (len(values) if key == "slit_width" else 1)  # one for both slits
+    for value, pair in zip(values, waves):
+        _cold()
+        state = two_slit_composite(replace(GEO, **{key: value}), BEAM)
+        assert state.branch1.com_amplitude(x).tobytes() == pair[0].tobytes()
+        assert state.branch2.com_amplitude(x).tobytes() == pair[1].tobytes()
+
+
+def test_one_copy_of_the_grid_bytes_is_kept(counted_phases):
+    two_slit_composite(GEO, BEAM).branch1.com_amplitude(_grid())
+    state = two_slit_composite(replace(GEO, slit_amplitudes=(0.5, 1.0)), BEAM)
+    state.branch1.com_amplitude(_grid())  # a wave miss and an envelope hit
+    state.branch2.com_amplitude(_grid())  # a wave miss on the held key
+    assert composite._envelope[0][-1] is composite._slit_waves[0][-1]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from fringelab.cli import main
-from fringelab.config import PRESET_NAMES, build_preset, serialize_config
+from fringelab.config import PRESET_NAMES, build_preset, parse_config, serialize_config
 from fringelab.experiments import run_experiment
 from fringelab.io import read_events_csv, write_events_csv
 
@@ -138,3 +138,44 @@ def command_output_digests(tmp_path, capsys, preset):
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_analyze_eraser_and_sweep_outputs_match_their_recorded_digests(tmp_path, capsys, preset):
     assert command_output_digests(tmp_path, capsys, preset) == OUTPUT_DIGESTS[preset]
+
+
+# --- slit sweeps ---
+#
+# SHA-256 of a 7-step sweep over the slit width or a slit amplitude (sweep
+# CSV and stdout, then each step's events CSV at SWEEP_EVENTS and
+# SWEEP_SEED), recorded while every slit wave was computed from scratch.
+# Each step changes the waves but not the transport phase, so these pin
+# the bits of waves built from kept phasors and envelopes.
+
+SLIT_SWEEPS = {
+    ("young_baseline", "geometry.slit_width"):
+        "b2bf64140094dc4f6c2e4060a3f467e7c8ee76af717c1380e3f18bf01078c4ad",
+    ("young_baseline", "geometry.slit_amplitude1"):
+        "a341cf1e61240b16bdce49aaa8de9dc62e03b355a1ccb1429d79f2d53c7d4d51",
+    ("eraser_modulation", "geometry.slit_width"):
+        "e8cf0dd84e5312ec0dd91b798c94e55a5b54e277986ecdf0c407ee65918585f6",
+    ("eraser_modulation", "geometry.slit_amplitude1"):
+        "f714dbddca489c2934f3d183cbf93b7f847a0e8df708b93e0862d03787e75bb1",
+}
+SLIT_SWEEP_BOUNDS = {"geometry.slit_width": ("1e-6", "3e-6"), "geometry.slit_amplitude1": ("0.25", "1")}
+
+
+def slit_sweep_digest(tmp_path, capsys, preset, param):
+    text = serialize_config(build_preset(preset))
+    config, swept, events = tmp_path / "base.cfg", tmp_path / "sweep.csv", tmp_path / "events.csv"
+    config.write_text(text, encoding="utf-8")
+    start, stop = SLIT_SWEEP_BOUNDS[param]
+    digest = hashlib.sha256(_command_digest(capsys, [
+        "sweep", "--config", config, "--param", param, "--from", start, "--to", stop, "--steps", "7",
+        "--events", SWEEP_EVENTS, "--seed", SWEEP_SEED, "--out", swept], [swept]).encode())
+    for line in swept.read_text(encoding="utf-8").splitlines()[1:]:
+        step = parse_config(text, overrides={param: line.split(",")[0]})
+        write_events_csv(run_experiment(step, SWEEP_EVENTS, SWEEP_SEED), events)
+        digest.update(events.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("preset,param", sorted(SLIT_SWEEPS))
+def test_slit_sweeps_match_their_recorded_digests(tmp_path, capsys, preset, param):
+    assert slit_sweep_digest(tmp_path, capsys, preset, param) == SLIT_SWEEPS[preset, param]
