@@ -44,9 +44,7 @@ from .measurement import (
     ScreenOutcome,
     WeakScreen,
     WhichWayRecord,
-    apply_measurement,
     coincidence_modulate,
-    matrix_elements_from_operator,
     measured_signal,
     micromaser_record,
     weak_screen_interact,
@@ -68,4 +66,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -35,8 +35,6 @@ from .wavefield import TWO_PI, BeamSpec, TwoSlitGeometry, slit_envelope, transpo
 
 NORM_TOLERANCE = 1e-9
 
-PATTERN_CONVENTIONS = ("literal", "measurement_mediated")
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -125,17 +123,9 @@ class Branch:
 
 @dataclass(frozen=True)
 class CompositeState:
-    """Two-branch superposition with a declared pattern convention.
-
-    ``pattern_convention`` records how the screen pattern is to be read
-    out downstream: "literal" squares the full composite state, so
-    orthogonal internal or detector factors erase the fringes;
-    "measurement_mediated" defers to an explicit measurement operator
-    acting on the state.
-    """
+    """Two-branch superposition, one branch per path."""
 
     branches: tuple[Branch, Branch]
-    pattern_convention: str = "literal"
 
     def __post_init__(self) -> None:
         if len(self.branches) != 2:
@@ -147,8 +137,6 @@ class CompositeState:
             raise ValueError("internal state dimensions differ between branches")
         if b1.detector.dim != b2.detector.dim:
             raise ValueError("detector state dimensions differ between branches")
-        if self.pattern_convention not in PATTERN_CONVENTIONS:
-            raise ValueError(f"unknown pattern convention {self.pattern_convention!r}")
 
     @property
     def branch1(self) -> Branch:
@@ -288,13 +276,12 @@ def two_slit_composite(
     beam: BeamSpec,
     internal: tuple[StateVector, StateVector] = (TRIVIAL_STATE, TRIVIAL_STATE),
     detector: tuple[StateVector, StateVector] = (TRIVIAL_STATE, TRIVIAL_STATE),
-    pattern_convention: str = "literal",
     include_envelope: bool = True,
 ) -> CompositeState:
     """Composite state of a particle crossing the two-slit bench."""
     b1 = Branch(1, slit_branch_amplitude(geometry, beam, 1, include_envelope), internal[0], detector[0])
     b2 = Branch(2, slit_branch_amplitude(geometry, beam, 2, include_envelope), internal[1], detector[1])
-    return CompositeState((b1, b2), pattern_convention)
+    return CompositeState((b1, b2))
 
 
 def pattern_terms(state: CompositeState, x) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +414,6 @@ def dephase(state: CompositeState, noise: PhaseNoise, rng: np.random.Generator) 
     b1, b2 = state.branches
     return CompositeState(
         (replace(b1, extra_phase=d1), replace(b2, extra_phase=d2)),
-        state.pattern_convention,
     )
 
 

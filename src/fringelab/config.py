@@ -12,14 +12,13 @@ and trivially parseable.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Union
 
-from .composite import PATTERN_CONVENTIONS, PhaseNoise, StateVector
+from .composite import PhaseNoise
 from .measurement import MeasurementOperator, WeakScreen
 from .wavefield import TWO_PI, BeamSpec, CrossingRegion, MZGeometry, ScreenGrid, TwoSlitGeometry
 
@@ -27,6 +26,11 @@ MZ_SCENARIOS = ("mz_with_bs2", "mz_without_bs2", "mz_weak_screen")
 
 #: Scenarios whose runs attach photon-cavity which-way records to events.
 CAVITY_SCENARIOS = ("young_micromaser", "young_single_cavity", "eraser_modulation")
+
+#: How a screen scenario's pattern is read out: "literal" squares the full
+#: composite state, so orthogonal internal or detector factors erase the
+#: fringes; "measurement_mediated" takes the measurement operator's signal.
+PATTERN_CONVENTIONS = ("literal", "measurement_mediated")
 
 #: Keys every preset shares: a 500 nm beam, no phase noise, trivial
 #: internal and detector states.
@@ -153,12 +157,6 @@ class ExperimentConfig:
                 raise ValueError("cavity tagging requires orthogonal detector states (detector_overlap = 0)")
             if self.noise.distribution != "none":
                 raise ValueError("phase noise is not modeled for cavity-tagging scenarios")
-
-    @property
-    def overlap_product(self) -> complex:
-        """Combined cross-term factor of the internal and detector overlaps."""
-        return (self.internal_overlap * cmath.exp(1j * self.internal_overlap_phase)
-                * self.detector_overlap * cmath.exp(1j * self.detector_overlap_phase))
 
 
 def _parse_bool(text: str) -> bool:
@@ -301,10 +299,8 @@ def _build(v: dict[str, object]) -> ExperimentConfig:
             else:
                 # an unset element reads 1; all four unset is the best-case detector, which
                 # responds alike on either branch and so keeps the full fringe term
-                basis0 = StateVector((1.0, 0.0))
                 measurement = MeasurementOperator(
                     mode,
-                    internal_map=(basis0, basis0),
                     matrix_elements=[[v.get(f"measurement.g{j}{i}", 1.0) for i in (1, 2)] for j in (1, 2)],
                 )
         elif any(k.startswith("measurement.") for k in v):

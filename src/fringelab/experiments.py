@@ -36,15 +36,15 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .composite import CompositeState, noise_averaged_pattern, overlap_pair, two_slit_composite
+from .composite import CompositeState, noise_averaged_pattern, overlap_pair, slit_branch_amplitude, two_slit_composite
 from .config import CAVITY_SCENARIOS, MZ_SCENARIOS, ExperimentConfig, config_digest
 from .measurement import measured_signal, midline_profile
 from .montecarlo import (
     EventColumns,
     EventLog,
     RngStream,
-    _checked_weights,
     _inverse_cdf,
+    _profile_cdf,
     sample_positions,
     sampling_grid,
 )
@@ -66,7 +66,7 @@ def composite_from_config(config: ExperimentConfig, include_envelope: bool = Tru
     detector = overlap_pair(config.detector_overlap, config.detector_overlap_phase)
     return two_slit_composite(
         config.geometry, config.beam, internal, detector,
-        config.pattern_convention, include_envelope,
+        include_envelope,
     )
 
 
@@ -82,6 +82,12 @@ def pattern_profile(config: ExperimentConfig, x, include_envelope: bool = True) 
     if config.pattern_convention == "measurement_mediated":
         return np.asarray(measured_signal(config.measurement, state, x))
     return np.asarray(noise_averaged_pattern(state, config.noise, x))
+
+
+def _slit_profile(config: ExperimentConfig, slit: int, x) -> np.ndarray:
+    """Position density (unnormalized) of a particle tagged through one
+    slit under the literal convention: that slit's branch, squared."""
+    return np.abs(np.asarray(slit_branch_amplitude(config.geometry, config.beam, slit)(x))) ** 2
 
 
 def slit_probabilities(geometry: TwoSlitGeometry) -> tuple[float, float]:
@@ -141,13 +147,9 @@ def _tagged_blocks(config: ExperimentConfig):
     grid = _screen_grid(config)
     p1, _ = slit_probabilities(config.geometry)
     if config.pattern_convention == "measurement_mediated":
-        cdf1 = cdf2 = np.cumsum(pattern_profile(config, grid))
+        cdf1 = cdf2 = _profile_cdf(pattern_profile(config, grid))
     else:
-        b1, b2 = composite_from_config(config).branches
-        cdf1 = np.cumsum(np.abs(np.asarray(b1.com_amplitude(grid))) ** 2)
-        cdf2 = np.cumsum(np.abs(np.asarray(b2.com_amplitude(grid))) ** 2)
-    if not (cdf1[-1] > 0 and cdf2[-1] > 0):
-        raise ValueError("sampling profile must have positive total weight")
+        cdf1, cdf2 = (_profile_cdf(_slit_profile(config, slit, grid)) for slit in (1, 2))
 
     def fields(draws: np.ndarray) -> dict:
         through1 = draws[:, 0] < p1
@@ -189,7 +191,7 @@ def _weak_screen_blocks(config: ExperimentConfig):
     """
     mz, beam, screen = config.geometry, config.beam, config.weak_screen
     positions, weights = midline_profile(mz, beam, SAMPLING_CELLS)
-    cdf = np.cumsum(_checked_weights(weights))
+    cdf = _profile_cdf(weights)
     px = _port_x_fraction(config)
     transmit_below = screen.scatter_fraction + screen.transmittance
     midline_y = mz.crossing_region.midline_y

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .analysis import FringeHistogram
-from .composite import CompositeState, StateVector
+from .composite import CompositeState
 from .montecarlo import sample_position, sampling_grid
 from .wavefield import BeamSpec, MZGeometry, TwoSlitGeometry, crossing_intensity, single_slit_intensity
 
@@ -46,15 +46,13 @@ class MeasurementOperator:
     """A readout channel, either on the center of mass or internal space.
 
     center_of_mass mode uses com_factor, the single linear amplitude
-    factor applied to both branches. internal mode uses internal_map,
-    the post-measurement internal states (one per branch), together with
+    factor applied to both branches. internal mode uses
     matrix_elements[j][i], the amplitude for the detector to respond in
     channel j when branch i+1 was taken.
     """
 
     mode: str
     com_factor: complex = 1.0 + 0.0j
-    internal_map: Optional[tuple[StateVector, StateVector]] = None
     matrix_elements: Optional[tuple[tuple[complex, complex], tuple[complex, complex]]] = None
 
     def __post_init__(self) -> None:
@@ -68,12 +66,8 @@ class MeasurementOperator:
             if factor == 0:
                 raise ValueError("com_factor must be nonzero in center_of_mass mode")
             return
-        if self.internal_map is None or self.matrix_elements is None:
-            raise ValueError("internal mode needs internal_map and matrix_elements")
-        m1, m2 = self.internal_map
-        if m1.dim != m2.dim:
-            raise ValueError("mapped internal states must share a dimension")
-        object.__setattr__(self, "internal_map", (m1, m2))
+        if self.matrix_elements is None:
+            raise ValueError("internal mode needs matrix_elements")
         object.__setattr__(self, "matrix_elements", _coerce_elements(self.matrix_elements))
 
     @classmethod
@@ -81,50 +75,8 @@ class MeasurementOperator:
         return cls("center_of_mass", com_factor=factor)
 
     @classmethod
-    def internal(cls, mapped_states: tuple[StateVector, StateVector], elements) -> "MeasurementOperator":
-        return cls("internal", internal_map=tuple(mapped_states), matrix_elements=elements)
-
-
-def matrix_elements_from_operator(
-    operator,
-    originals: tuple[StateVector, StateVector],
-    mapped: tuple[StateVector, StateVector],
-) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Tabulate g[j][i] = <original_j | operator | mapped_i>."""
-    op = np.asarray(operator, dtype=complex)
-    dim = originals[0].dim
-    if op.shape != (dim, dim):
-        raise ValueError(f"operator must be {dim}x{dim} for these states, got {op.shape}")
-    rows = []
-    for j in range(2):
-        bra = originals[j].asarray()
-        rows.append(tuple(complex(np.vdot(bra, op @ mapped[i].asarray())) for i in range(2)))
-    return _coerce_elements(rows)
-
-
-def apply_measurement(op: MeasurementOperator, state: CompositeState) -> CompositeState:
-    """State after the readout acted once.
-
-    center_of_mass: both branch amplitudes gain the factor, internal
-    states untouched. internal: branch internal states are replaced by
-    the mapped states, amplitudes untouched.
-    """
-    b1, b2 = state.branches
-    if op.mode == "center_of_mass":
-        factor = op.com_factor
-
-        def scaled(amp):
-            def amplitude(x):
-                return factor * np.asarray(amp(x))
-
-            return amplitude
-
-        new = (replace(b1, com_amplitude=scaled(b1.com_amplitude)),
-               replace(b2, com_amplitude=scaled(b2.com_amplitude)))
-    else:
-        m1, m2 = op.internal_map
-        new = (replace(b1, internal=m1), replace(b2, internal=m2))
-    return CompositeState(new, state.pattern_convention)
+    def internal(cls, elements) -> "MeasurementOperator":
+        return cls("internal", matrix_elements=elements)
 
 
 def measured_signal(op: MeasurementOperator, state: CompositeState, x):

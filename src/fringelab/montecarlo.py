@@ -271,7 +271,10 @@ class EventLog:
         return hash((self.config_digest, len(self)))
 
 
-def _checked_weights(weights) -> np.ndarray:
+def _profile_cdf(weights) -> np.ndarray:
+    """The running sum of a sampling profile, which _inverse_cdf draws
+    from. Every sampler builds its CDF here, so each refuses a profile
+    with a negative, non-finite or no positive cell the same way."""
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError("profile must be a nonempty 1-D array")
@@ -281,7 +284,7 @@ def _checked_weights(weights) -> np.ndarray:
         raise ValueError("profile values must be nonnegative")
     if not weights.sum() > 0:
         raise ValueError("profile must have at least one positive value")
-    return weights
+    return np.cumsum(weights)
 
 
 def _inverse_cdf(positions: np.ndarray, cdf: np.ndarray, cell_u, jitter_u):
@@ -306,11 +309,11 @@ def sample_position(positions, weights, rng: np.random.Generator) -> float:
     jitter keeps re-binned histograms free of grid-comb artifacts.
     """
     positions = np.asarray(positions, dtype=float)
-    weights = _checked_weights(weights)
-    if positions.shape != weights.shape:
+    cdf = _profile_cdf(weights)
+    if positions.shape != cdf.shape:
         raise ValueError("positions and profile must have the same shape")
     cell_u, jitter_u = rng.random(), rng.random()
-    return float(_inverse_cdf(positions, np.cumsum(weights), cell_u, jitter_u))
+    return float(_inverse_cdf(positions, cdf, cell_u, jitter_u))
 
 
 def sample_positions(positions, weights, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -323,13 +326,13 @@ def sample_positions(positions, weights, rng: np.random.Generator, n: int) -> np
     if n < 0:
         raise ValueError("n must be nonnegative")
     positions = np.asarray(positions, dtype=float)
-    weights = _checked_weights(weights)
-    if positions.shape != weights.shape:
+    cdf = _profile_cdf(weights)
+    if positions.shape != cdf.shape:
         raise ValueError("positions and profile must have the same shape")
     if n == 0:
         return np.empty(0)
     draws = rng.random((n, 2))
-    return _inverse_cdf(positions, np.cumsum(weights), draws[:, 0], draws[:, 1])
+    return _inverse_cdf(positions, cdf, draws[:, 0], draws[:, 1])
 
 
 def sampling_grid(x_min: float, x_max: float, n_cells: int = 4096) -> np.ndarray:

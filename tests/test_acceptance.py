@@ -22,7 +22,6 @@ from fringelab.analysis import (
 from fringelab.cli import main
 from fringelab.composite import (
     PhaseNoise,
-    StateVector,
     ensemble_pattern,
     literal_pattern,
     overlap_pair,
@@ -245,8 +244,7 @@ def test_measurement_modes_scale_null_or_reproduce_the_fringe_term():
         abs(2.0 - 1.0j) ** 2 * reference,
     )
 
-    basis = StateVector((1.0, 0.0))
-    zero_cross = MeasurementOperator.internal((basis, basis), ((0.7, 0.0), (0.0, 0.3)))
+    zero_cross = MeasurementOperator.internal(((0.7, 0.0), (0.0, 0.3)))
     flipped = type(state)((
         dataclasses.replace(state.branch1, extra_phase=0.0),
         dataclasses.replace(state.branch2, extra_phase=math.pi),
@@ -258,7 +256,7 @@ def test_measurement_modes_scale_null_or_reproduce_the_fringe_term():
         np.asarray(measured_signal(zero_cross, flipped, x)),
     )
 
-    equal_cross = MeasurementOperator.internal((basis, basis), ((1.0, 1.0), (1.0, 1.0)))
+    equal_cross = MeasurementOperator.internal(((1.0, 1.0), (1.0, 1.0)))
     gap = np.max(np.abs(np.asarray(measured_signal(equal_cross, state, x)) - reference))
     shape_ok = gap <= 1e-12 * np.max(np.abs(reference))
 

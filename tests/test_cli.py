@@ -12,7 +12,7 @@ import pytest
 
 from fringelab import cli, experiments, montecarlo
 from fringelab.cli import main
-from fringelab.config import build_preset, parse_config, serialize_config
+from fringelab.config import ConfigError, build_preset, parse_config, serialize_config
 from fringelab.io import (
     EVENTS_HEADER,
     HISTOGRAM_HEADER,
@@ -384,6 +384,33 @@ def test_screen_points_is_an_unknown_key(tmp_path, capsys):
     cfg.write_text("scenario = young_baseline\ngeometry.screen_points = 100\n")
     assert run("simulate", "--config", cfg, "--events", 10, "--seed", 1, "--out", tmp_path / "x.csv") == 2
     assert "line 2: unknown key 'geometry.screen_points'" in capsys.readouterr().err
+
+
+def test_an_unknown_pattern_convention_is_a_config_error(tmp_path, capsys):
+    text = "scenario = young_baseline\npattern_convention = sideways\n"
+    with pytest.raises(ConfigError, match="pattern_convention must be one of"):
+        parse_config(text)
+    cfg = tmp_path / "sideways.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--config", cfg, "--events", 10, "--seed", 1, "--out", out) == 2
+    assert "pattern_convention must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_sampling_profile_exits_3_and_writes_nothing(tmp_path, capsys):
+    # cross elements that outweigh the diagonal push the recorded signal below zero
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("scenario = eraser_modulation\nmeasurement.g12 = 2\nmeasurement.g21 = 2\n")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--config", cfg, "--events", 100, "--seed", 1, "--out", out) == 3
+    assert capsys.readouterr().err == "fringelab: error: profile values must be nonnegative\n"
+    assert not out.exists()
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--config", cfg, "--param", "beam.wavelength", "--from", 4e-7, "--to", 6e-7,
+               "--steps", 2, "--events", 100, "--seed", 1, "--out", out) == 3
+    assert capsys.readouterr().err == "fringelab: error: profile values must be nonnegative\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row", [

@@ -94,8 +94,6 @@ def test_branch_and_composite_validation():
     b2 = Branch(2, amp, TRIVIAL_STATE, TRIVIAL_STATE)
     with pytest.raises(ValueError):
         CompositeState((b2, b1))
-    with pytest.raises(ValueError):
-        CompositeState((b1, b2), pattern_convention="sideways")
 
 
 def test_overlap_product_factorizes():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fringelab.composite import PATTERN_CONVENTIONS
 from fringelab.config import (
     _SCHEMA,
     CAVITY_SCENARIOS,
     MZ_SCENARIOS,
+    PATTERN_CONVENTIONS,
     PRESET_NAMES,
     ConfigError,
     ExperimentConfig,

@@ -26,7 +26,7 @@ def test_composite_carries_configured_overlaps():
         "detector_overlap_phase = 0.3\n"
     )
     state = composite_from_config(config)
-    assert abs(state.overlap_product() - config.overlap_product) < 1e-12
+    assert abs(state.overlap_product() - 0.7 * 0.4 * np.exp(0.3j)) < 1e-12
 
 
 def test_composite_requires_two_slit_geometry():
@@ -154,6 +154,44 @@ def test_run_experiment_argument_validation():
         run_experiment(config, 0, seed=1)
     with pytest.raises(ValueError):
         run_experiment(config, 10, seed=1, n_streams=0)
+
+
+def test_run_experiment_refuses_a_negative_tagged_profile():
+    # cross elements that outweigh the diagonal push the recorded signal below zero
+    config = parse_config("scenario = eraser_modulation\nmeasurement.g12 = 2\nmeasurement.g21 = 2\n")
+    assert np.any(pattern_profile(config, experiments._screen_grid(config)) < 0)
+    with pytest.raises(ValueError) as refused:
+        run_experiment(config, 100, seed=1)
+    assert str(refused.value) == "profile values must be nonnegative"
+
+
+def _bad_profile(case: str) -> np.ndarray:
+    weights = np.zeros(SAMPLING_CELLS) if case == "all zero" else np.ones(SAMPLING_CELLS)
+    if case != "all zero":
+        weights[SAMPLING_CELLS // 2] = -1.0 if case == "negative" else np.nan
+    return weights
+
+
+@pytest.mark.parametrize("case,message", [
+    ("negative", "profile values must be nonnegative"),
+    ("nan", "profile values must be finite"),
+    ("all zero", "profile must have at least one positive value"),
+])
+@pytest.mark.parametrize("preset,source", [
+    ("young_baseline", "pattern_profile"),  # screen
+    ("young_micromaser", "_slit_profile"),  # tagged, literal convention
+    ("eraser_modulation", "pattern_profile"),  # tagged, measurement_mediated convention
+    ("mz_weak_screen", "midline_profile"),  # weak screen
+])
+def test_every_sampler_refuses_a_bad_profile_alike(monkeypatch, preset, source, case, message):
+    bad = _bad_profile(case)
+    if source == "midline_profile":
+        monkeypatch.setattr(experiments, source, lambda mz, beam, n_cells: (sampling_grid(0.0, 1.0, n_cells), bad))
+    else:
+        monkeypatch.setattr(experiments, source, lambda *args: bad)
+    with pytest.raises(ValueError) as refused:
+        run_experiment(build_preset(preset), 100, seed=1)
+    assert str(refused.value) == message
 
 
 # --- draw-order composition: the vectorized runs must consume the stream
