@@ -7,7 +7,8 @@ defaults. A config file starts from its scenario's preset and overrides
 individual keys; one constructor builds a config from either set of
 keys. The file format is line-oriented ``key = value`` with ``#``
 comments and dotted keys for nesting, chosen so configs stay diffable
-and trivially parseable.
+and trivially parseable. The dataclasses check values, the schema's
+getters decide which keys apply, and each rejection cites its key's line.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class ExperimentConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.pattern_convention not in PATTERN_CONVENTIONS:
-            raise ValueError(f"pattern_convention must be one of {PATTERN_CONVENTIONS}")
+            raise ValueError(f"pattern_convention must be one of {PATTERN_CONVENTIONS}, got {self.pattern_convention!r}")
         is_mz = self.scenario in MZ_SCENARIOS
         if is_mz and not isinstance(self.geometry, MZGeometry):
             raise ValueError(f"scenario {self.scenario} needs interferometer geometry")
@@ -175,16 +176,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _in_unit_interval(v: float) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"must lie in [0, 1], got {v!r}")
-
-
-def _positive(v: float) -> None:
-    if not v > 0:
-        raise ValueError(f"must be positive, got {v!r}")
-
-
 def _geometry(kind, get):
     """Getter of a field of one bench's geometry; None on the other bench."""
     return lambda c: get(c.geometry) if isinstance(c.geometry, kind) else None
@@ -200,62 +191,53 @@ def _operator(get, mode: Optional[str] = None):
 
 
 #: The config format, one row per key in canonical order: key -> (value
-#: parser, range check or None, getter). The getter reads the key's value
-#: from a config; None means the key does not apply to that config.
+#: parser, getter). The getter reads the key's value from a config; None
+#: means the key does not apply to that config's scenario or measurement
+#: mode. Value ranges are the dataclasses' checks, not the table's.
 _SCHEMA = {
-    "scenario": (str, None, attrgetter("scenario")),
-    "beam.wavelength": (float, _positive, attrgetter("beam.wavelength")),
-    "beam.amplitude": (_parse_complex, None, attrgetter("beam.amplitude")),
-    "noise.distribution": (str, None, attrgetter("noise.distribution")),
-    "noise.independent_per_branch": (_parse_bool, None, attrgetter("noise.independent_per_branch")),
-    "noise.value": (float, None, attrgetter("noise.value")),
-    "noise.low": (float, None, attrgetter("noise.low")),
-    "noise.high": (float, None, attrgetter("noise.high")),
-    "noise.sigma": (float, None, attrgetter("noise.sigma")),
-    "internal_overlap": (float, _in_unit_interval, attrgetter("internal_overlap")),
-    "internal_overlap_phase": (float, None, attrgetter("internal_overlap_phase")),
-    "detector_overlap": (float, _in_unit_interval, attrgetter("detector_overlap")),
-    "detector_overlap_phase": (float, None, attrgetter("detector_overlap_phase")),
-    "pattern_convention": (str, None, attrgetter("pattern_convention")),
-    "single_cavity": (_parse_bool, None, attrgetter("single_cavity")),
-    "geometry.slit_separation": (float, _positive, _geometry(TwoSlitGeometry, attrgetter("slit_separation"))),
-    "geometry.slit_width": (float, _positive, _geometry(TwoSlitGeometry, attrgetter("slit_width"))),
-    "geometry.screen_distance": (float, _positive, _geometry(TwoSlitGeometry, attrgetter("screen_distance"))),
-    "geometry.slit_amplitude1": (_parse_complex, None, _geometry(TwoSlitGeometry, lambda g: g.slit_amplitudes[0])),
-    "geometry.slit_amplitude2": (_parse_complex, None, _geometry(TwoSlitGeometry, lambda g: g.slit_amplitudes[1])),
-    "geometry.screen_x_min": (float, None, _geometry(TwoSlitGeometry, attrgetter("screen_grid.x_min"))),
-    "geometry.screen_x_max": (float, None, _geometry(TwoSlitGeometry, attrgetter("screen_grid.x_max"))),
-    "mz.bs2_present": (_parse_bool, None, _geometry(MZGeometry, attrgetter("bs2_present"))),
-    "mz.phase_difference": (float, None, _geometry(MZGeometry, attrgetter("phase_difference"))),
-    "mz.crossing_wavenumber": (float, _positive, _geometry(MZGeometry, attrgetter("crossing_wavenumber"))),
-    "mz.crossing_x_min": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.x_min"))),
-    "mz.crossing_x_max": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.x_max"))),
-    "mz.crossing_y_min": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.y_min"))),
-    "mz.crossing_y_max": (float, None, _geometry(MZGeometry, attrgetter("crossing_region.y_max"))),
-    "weak_screen.transmittance": (float, _in_unit_interval, _weak_screen(attrgetter("transmittance"))),
-    "weak_screen.scatter_fraction": (float, _in_unit_interval, _weak_screen(attrgetter("scatter_fraction"))),
-    "measurement.mode": (str, None, _operator(attrgetter("mode"))),
-    "measurement.com_factor": (_parse_complex, None, _operator(attrgetter("com_factor"), "center_of_mass")),
-    "measurement.g11": (_parse_complex, None, _operator(lambda m: m.matrix_elements[0][0], "internal")),
-    "measurement.g12": (_parse_complex, None, _operator(lambda m: m.matrix_elements[0][1], "internal")),
-    "measurement.g21": (_parse_complex, None, _operator(lambda m: m.matrix_elements[1][0], "internal")),
-    "measurement.g22": (_parse_complex, None, _operator(lambda m: m.matrix_elements[1][1], "internal")),
+    "scenario": (str, attrgetter("scenario")),
+    "beam.wavelength": (float, attrgetter("beam.wavelength")),
+    "beam.amplitude": (_parse_complex, attrgetter("beam.amplitude")),
+    "noise.distribution": (str, attrgetter("noise.distribution")),
+    "noise.independent_per_branch": (_parse_bool, attrgetter("noise.independent_per_branch")),
+    "noise.value": (float, attrgetter("noise.value")),
+    "noise.low": (float, attrgetter("noise.low")),
+    "noise.high": (float, attrgetter("noise.high")),
+    "noise.sigma": (float, attrgetter("noise.sigma")),
+    "internal_overlap": (float, attrgetter("internal_overlap")),
+    "internal_overlap_phase": (float, attrgetter("internal_overlap_phase")),
+    "detector_overlap": (float, attrgetter("detector_overlap")),
+    "detector_overlap_phase": (float, attrgetter("detector_overlap_phase")),
+    "pattern_convention": (str, attrgetter("pattern_convention")),
+    "single_cavity": (_parse_bool, attrgetter("single_cavity")),
+    "geometry.slit_separation": (float, _geometry(TwoSlitGeometry, attrgetter("slit_separation"))),
+    "geometry.slit_width": (float, _geometry(TwoSlitGeometry, attrgetter("slit_width"))),
+    "geometry.screen_distance": (float, _geometry(TwoSlitGeometry, attrgetter("screen_distance"))),
+    "geometry.slit_amplitude1": (_parse_complex, _geometry(TwoSlitGeometry, lambda g: g.slit_amplitudes[0])),
+    "geometry.slit_amplitude2": (_parse_complex, _geometry(TwoSlitGeometry, lambda g: g.slit_amplitudes[1])),
+    "geometry.screen_x_min": (float, _geometry(TwoSlitGeometry, attrgetter("screen_grid.x_min"))),
+    "geometry.screen_x_max": (float, _geometry(TwoSlitGeometry, attrgetter("screen_grid.x_max"))),
+    "mz.bs2_present": (_parse_bool, _geometry(MZGeometry, attrgetter("bs2_present"))),
+    "mz.phase_difference": (float, _geometry(MZGeometry, attrgetter("phase_difference"))),
+    "mz.crossing_wavenumber": (float, _geometry(MZGeometry, attrgetter("crossing_wavenumber"))),
+    "mz.crossing_x_min": (float, _geometry(MZGeometry, attrgetter("crossing_region.x_min"))),
+    "mz.crossing_x_max": (float, _geometry(MZGeometry, attrgetter("crossing_region.x_max"))),
+    "mz.crossing_y_min": (float, _geometry(MZGeometry, attrgetter("crossing_region.y_min"))),
+    "mz.crossing_y_max": (float, _geometry(MZGeometry, attrgetter("crossing_region.y_max"))),
+    "weak_screen.transmittance": (float, _weak_screen(attrgetter("transmittance"))),
+    "weak_screen.scatter_fraction": (float, _weak_screen(attrgetter("scatter_fraction"))),
+    "measurement.mode": (str, _operator(attrgetter("mode"))),
+    "measurement.com_factor": (_parse_complex, _operator(attrgetter("com_factor"), "center_of_mass")),
+    "measurement.g11": (_parse_complex, _operator(lambda m: m.matrix_elements[0][0], "internal")),
+    "measurement.g12": (_parse_complex, _operator(lambda m: m.matrix_elements[0][1], "internal")),
+    "measurement.g21": (_parse_complex, _operator(lambda m: m.matrix_elements[1][0], "internal")),
+    "measurement.g22": (_parse_complex, _operator(lambda m: m.matrix_elements[1][1], "internal")),
 }
-
-
-def _key_applies(key: str, scenario: str) -> bool:
-    """Whether a key's section belongs to the scenario's bench."""
-    section = key.partition(".")[0]
-    if section == "weak_screen":
-        return scenario == "mz_weak_screen"
-    if section in ("geometry", "measurement", "mz"):
-        return (section == "mz") == (scenario in MZ_SCENARIOS)
-    return True
 
 
 def _values(config: ExperimentConfig) -> dict[str, object]:
     """Every key that applies to config, with its value, in table order."""
-    return {key: value for key, (_, _, get) in _SCHEMA.items() if (value := get(config)) is not None}
+    return {key: value for key, (_, get) in _SCHEMA.items() if (value := get(config)) is not None}
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -303,8 +285,6 @@ def _build(v: dict[str, object]) -> ExperimentConfig:
                     mode,
                     matrix_elements=[[v.get(f"measurement.g{j}{i}", 1.0) for i in (1, 2)] for j in (1, 2)],
                 )
-        elif any(k.startswith("measurement.") for k in v):
-            raise ConfigError("measurement.mode is required when measurement keys are set")
         return ExperimentConfig(
             scenario=scenario,
             beam=BeamSpec(wavelength=v["beam.wavelength"], amplitude=v["beam.amplitude"]),
@@ -343,13 +323,28 @@ def build_preset(name: str) -> ExperimentConfig:
     return _build(_preset_values(name))
 
 
+def _blamed_line(entries: dict, values: dict[str, object], preset: dict[str, object]) -> Optional[int]:
+    """Line of the last set key whose preset value (or absence) lets the config build, if any."""
+    for key in reversed(entries):
+        trial = {k: v for k, v in values.items() if k != key}
+        if key in preset:
+            trial[key] = preset[key]
+        try:
+            _build(trial)
+        except ConfigError:
+            continue
+        return entries[key][0]
+    return None
+
+
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
     """Parse key = value text into a validated configuration.
 
     The scenario key selects the preset whose defaults fill every key the
     text does not mention. overrides, when given, are applied on top of
     the text (replacing file values); they are raw value strings keyed
-    like file keys, used by the sweep command.
+    like file keys, used by the sweep command. A set key that the built
+    config's getter reads as None does not apply and is refused.
     """
     entries: dict[str, tuple[Optional[int], str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -373,18 +368,22 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
     scenario_line, scenario = entries.pop("scenario")
     if scenario not in _PRESETS:
         raise ConfigError(f"unknown scenario {scenario!r}; valid: {', '.join(PRESET_NAMES)}", scenario_line)
-    values = _preset_values(scenario)
+    preset = _preset_values(scenario)
+    values = dict(preset)
     for key, (lineno, raw) in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if not _key_applies(key, scenario):
-            raise ConfigError(f"key {key!r} is not valid for scenario {scenario}", lineno)
-        parse, check, _ = _SCHEMA[key]
         try:
-            value = parse(raw)
-            if check is not None:
-                check(value)
+            values[key] = _SCHEMA[key][0](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}", lineno) from exc
-        values[key] = value
-    return _build(values)
+    try:
+        config = _build(values)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), _blamed_line(entries, values, preset)) from exc
+    for key, (lineno, _) in entries.items():
+        if _SCHEMA[key][1](config) is None:
+            mode = f"= {config.measurement.mode}" if config.measurement else "unset"
+            where = f" with measurement.mode {mode}" if key.startswith("measurement.") else ""
+            raise ConfigError(f"key {key!r} is not valid for scenario {scenario}{where}", lineno)
+    return config

@@ -202,11 +202,7 @@ class WhichWayRecord:
     def inferred_path(self) -> int:
         """Path the record certifies; zero photons tags path 2 when only
         path 1 carries a cavity."""
-        if self.cavity1_photons == 1:
-            return 1
-        if self.cavity2_photons == 1:
-            return 2
-        return 2
+        return 1 if self.cavity1_photons == 1 else 2
 
 
 def micromaser_record(

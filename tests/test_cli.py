@@ -398,6 +398,22 @@ def test_an_unknown_pattern_convention_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_key_the_measurement_mode_does_not_read_is_a_config_error(tmp_path, capsys):
+    eraser = tmp_path / "eraser.cfg"
+    eraser.write_text(serialize_config(build_preset("eraser_modulation")))
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--config", eraser, "--param", "measurement.com_factor", "--from", 0.0, "--to", 1.0,
+               "--steps", 3, "--events", 10, "--seed", 1, "--out", out) == 2
+    assert "measurement.mode = internal" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "com.cfg"
+    cfg.write_text("scenario = young_baseline\nmeasurement.mode = center_of_mass\nmeasurement.g11 = 2\n")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--config", cfg, "--events", 10, "--seed", 1, "--out", out) == 2
+    assert "line 3: key 'measurement.g11' is not valid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_negative_sampling_profile_exits_3_and_writes_nothing(tmp_path, capsys):
     # cross elements that outweigh the diagonal push the recorded signal below zero
     cfg = tmp_path / "negative.cfg"
