@@ -7,8 +7,8 @@ Each row is checked once, when the EventLog holding it is built.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
 value, unknown preset, out-of-range seed, count or gamma, non-finite
-sweep bounds), 3 runtime failure (missing or malformed event log,
-unwritable output, no analyzable field).
+sweep bounds), 3 runtime failure (missing or malformed event log, eraser
+log naming no two-slit preset, unwritable output, no analyzable field).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .analysis import (
     overlap_distinguishability,
     visibility,
 )
-from .config import ConfigError, ExperimentConfig, build_preset, parse_config
+from .config import MZ_SCENARIOS, PRESET_NAMES, ConfigError, ExperimentConfig, build_preset, parse_config
 from .experiments import event_blocks, fringe_window, run_experiment
 from .io import (
     SWEEP_HEADER,
@@ -207,6 +207,8 @@ def _cmd_eraser(args: argparse.Namespace) -> int:
     if experiments.size == 0:
         raise ValueError("event log is empty")
     joint = histogram(log, "screen_x", args.bins, _field_range(log, "screen_x"))
+    if experiments[0] not in PRESET_NAMES or experiments[0] in MZ_SCENARIOS:
+        raise ValueError(f"{args.events}: scenario {experiments[0]!r} names no two-slit preset")
     config = build_preset(experiments[0])
     single1, single2 = eraser_singles(config.geometry, config.beam, joint)
     modulated = coincidence_modulate(joint, single1, single2, args.gamma)

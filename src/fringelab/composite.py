@@ -16,10 +16,10 @@ so any orthogonality between internal or detector factors suppresses the
 cross term, and random extra phases wash it out on ensemble average.
 
 States that differ only in their internal, detector or noise factors,
-such as the steps of an overlap sweep, share the slits' waves on a grid:
-the last ones computed are kept, read-only. States that differ only in
-slit width or slit amplitudes share each slit's phasor e^{i phase} and the
-envelope (see slit_branch_amplitude).
+such as the steps of an overlap sweep, share the slits' waves on a grid,
+and states that differ only in slit width or slit amplitudes share each
+slit's phasor e^{i phase} and the envelope: one memo, _kept, holds the
+last value of each, read-only (see slit_branch_amplitude).
 """
 
 from __future__ import annotations
@@ -152,61 +152,27 @@ class CompositeState:
         return inner(b1.internal, b2.internal) * inner(b1.detector, b2.detector)
 
 
-#: The slit waves last computed on an array grid, as (key, {slit: wave}).
-#: The key is _wave_key's: geometry, slit amplitudes, beam, envelope flag
-#: and x's dtype, shape and bytes. It holds one geometry's two waves at a
-#: time, about 160 KB on the 4096-cell sampling grid with x's bytes. A new
-#: key replaces the pair and a dict only gains waves of its own key, so a
-#: caller holding a pair never reads another key's wave.
-_slit_waves: tuple = (None, {})
-
-#: Each slit's last phasor e^{i phase} on an array grid, as
-#: {slit: ((phase shape, phase bytes), phasor)}: about 96 KB a slit on the
-#: sampling grid.
-#: A wave that misses _slit_waves but keeps its transport phase, as in a
-#: sweep over slit width or a slit amplitude, reuses the phasor.
-_phasors: dict = {}
-
-#: The envelope last computed on an array grid, as (key, envelope), shared
-#: by both slits. The key is slit width, screen distance, beam and x's
-#: dtype, shape and bytes, the same bytes object as _slit_waves' key: about
-#: 32 KB on the sampling grid.
-_envelope: tuple = (None, None)
+#: {kind: (key, value)}, the last value of each kind computed, read-only
+_kept: dict = {}
 
 
-def _wave_key(geometry: TwoSlitGeometry, beam: BeamSpec, include_envelope: bool, x):
-    """Everything a slit wave on x depends on, compared exactly; None for
-    a scalar or non-numeric x, whose waves are not kept."""
-    if not isinstance(x, np.ndarray) or x.ndim == 0 or x.dtype.kind not in "biuf":
-        return None
-    # == takes -0.0 for 0.0: the amplitudes' repr and x's bytes tell them apart
-    return (geometry, repr(geometry.slit_amplitudes), beam, include_envelope, x.dtype.str, x.shape, x.tobytes())
+def _keep(kind, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """kind's held value if its key equals key, else compute()'s, held read-only."""
+    if kind in _kept and _kept[kind][0] == key:
+        return _kept[kind][1]
+    value = compute()
+    value.flags.writeable = False
+    _kept[kind] = (key, value)
+    return value
 
 
-def _kept_phasor(slit: int, phase: np.ndarray) -> np.ndarray:
-    """e^{i phase}, computed only when phase's shape or bytes differ from
-    the last ones this slit saw."""
-    key = (phase.shape, phase.tobytes())
-    held = _phasors.get(slit)
-    if held is not None and held[0] == key:
-        return held[1]
-    phasor = np.exp(1j * phase)
-    phasor.flags.writeable = False
-    _phasors[slit] = (key, phasor)
-    return phasor
-
-
-def _kept_envelope(geometry: TwoSlitGeometry, beam: BeamSpec, wave_key: tuple, x: np.ndarray) -> np.ndarray:
-    """slit_envelope on x, computed only when slit width, screen distance,
-    beam or x differ from the last call's."""
-    global _envelope
-    key = (geometry.slit_width, geometry.screen_distance, beam, *wave_key[4:])
-    held, envelope = _envelope
-    if key != held:
-        envelope = np.asarray(slit_envelope(geometry, beam, x))
-        envelope.flags.writeable = False
-    _envelope = (key, envelope)  # a hit too: the new key shares x's bytes with _slit_waves'
-    return envelope
+def _grid(x: np.ndarray) -> tuple:
+    """x's dtype, shape and bytes, as a held key's equal tuple if any: x's bytes are kept once."""
+    grid = (x.dtype.str, x.shape, x.tobytes())
+    for kind in ("envelope", ("wave", 1), ("wave", 2)):
+        if kind in _kept and _kept[kind][0][-1] == grid:
+            return _kept[kind][0][-1]
+    return grid
 
 
 def slit_branch_amplitude(
@@ -222,51 +188,43 @@ def slit_branch_amplitude(
     modulus is held flat, which isolates the interference algebra from
     diffraction; useful when checking visibility laws exactly.
 
-    On a numeric array x three caches serve the call, each keeping only
-    its last entry, read-only, for any function built here:
+    On a numeric array x the memo _kept holds the last value of five
+    kinds, read-only, for any function built here:
 
-    - the wave itself (_slit_waves), keyed on geometry, beam, envelope
-      flag and x (dtype, shape and bytes), for both slits: a sweep over a
-      key that leaves geometry and beam alone computes each wave once;
-    - on a wave miss, transport_phase runs and its e^{i phase} is reused
-      when the phase's shape and bytes match the slit's last (_phasors),
-      so a sweep over slit width or a slit amplitude computes no new
-      exponential;
-    - the envelope (_envelope), keyed on slit width, screen distance,
-      beam and x, computed once for both slits.
+    - ("wave", slit), keyed on geometry, the slit amplitudes' repr, beam,
+      envelope flag and x's dtype, shape and bytes: a sweep that leaves
+      geometry and beam alone computes each wave once;
+    - ("phasor", slit), e^{i phase}, keyed on the transport phase's shape
+      and bytes: a sweep over slit width or a slit amplitude computes no
+      new exponential;
+    - "envelope", keyed on slit width, screen distance, beam and x, and
+      shared by both slits.
 
-    A wave is envelope * (amp * phasor) either way, the same operations in
-    the same order, so kept and fresh waves have the same bits. Together
-    the caches hold about 390 KB on the 4096-cell sampling grid. A scalar
-    x is computed every time and touches none of them.
+    A wave is envelope * (amp * phasor) either way, so kept and fresh
+    waves have the same bits. The keys share one copy of x's bytes, and
+    the memo holds at most 384 KB on the 4096-cell sampling grid. A
+    scalar x is computed every time and keeps nothing.
     """
     if slit not in (1, 2):
         raise ValueError(f"slit must be 1 or 2, got {slit!r}")
     amp = geometry.slit_amplitudes[slit - 1]
 
     def amplitude(x):
-        global _slit_waves
-        key = _wave_key(geometry, beam, include_envelope, x)
-        held, waves = _slit_waves
-        if key is not None and key == held:
-            if slit in waves:
-                return waves[slit]
-            key = held  # one copy of x's bytes for both slits and the envelope
-        phase = np.asarray(transport_phase(geometry, beam, slit, x))
-        if key is None:
-            wave = amp * np.exp(1j * phase)
-            if include_envelope:
-                wave = np.asarray(slit_envelope(geometry, beam, x)) * wave
-            return wave
-        wave = amp * _kept_phasor(slit, phase)
-        if include_envelope:
-            wave = _kept_envelope(geometry, beam, key, x) * wave
-        wave.flags.writeable = False
-        if key is not held:
-            waves = {}
-            _slit_waves = (key, waves)
-        waves[slit] = wave
-        return wave
+        if isinstance(x, np.ndarray) and x.ndim and x.dtype.kind in "biuf":
+            keep, grid = _keep, _grid(x)
+        else:
+            keep, grid = (lambda kind, key, compute: compute()), None
+
+        def build():
+            phase = np.asarray(transport_phase(geometry, beam, slit, x))
+            wave = amp * keep(("phasor", slit), (phase.shape, phase.tobytes()), lambda: np.exp(1j * phase))
+            if not include_envelope:
+                return wave
+            envelope_key = (geometry.slit_width, geometry.screen_distance, beam, grid)
+            return keep("envelope", envelope_key, lambda: np.asarray(slit_envelope(geometry, beam, x))) * wave
+
+        # == takes -0.0 for 0.0: the amplitudes' repr and x's bytes tell them apart
+        return keep(("wave", slit), (geometry, repr(geometry.slit_amplitudes), beam, include_envelope, grid), build)
 
     return amplitude
 

@@ -33,11 +33,9 @@ def event_columns(*rows, single_cavity=False) -> EventColumns:
 
 @pytest.fixture
 def counted_phases(monkeypatch):
-    """Cold slit-wave, phasor and envelope caches, and the transport_phase
-    calls made since."""
-    monkeypatch.setattr(composite, "_slit_waves", (None, {}))
-    monkeypatch.setattr(composite, "_phasors", {})
-    monkeypatch.setattr(composite, "_envelope", (None, None))
+    """A cold memo of slit waves, phasors and envelope, and the
+    transport_phase calls made since."""
+    monkeypatch.setattr(composite, "_kept", {})
     calls = []
     phase = composite.transport_phase
 

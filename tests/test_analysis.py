@@ -1,7 +1,5 @@
 """Histograms, fringe metrics, and the wave-particle trade-off check."""
 
-import math
-
 import numpy as np
 import pytest
 from conftest import event_columns
@@ -13,7 +11,6 @@ from fringelab.analysis import (
     HISTOGRAM_FIELDS,
     DualityResult,
     FringeHistogram,
-    MetricValue,
     compute_metrics,
     distinguishability,
     duality_check,

@@ -345,6 +345,16 @@ def test_eraser_empty_log(tmp_path):
     assert run("eraser", "--events", empty, "--gamma", 0.0, "--out", tmp_path / "m.csv") == 3
 
 
+@pytest.mark.parametrize("scenario", ["mz_with_bs2", "foo"])
+def test_eraser_refuses_a_log_whose_screen_rows_name_no_two_slit_preset(tmp_path, capsys, scenario):
+    events = tmp_path / "renamed.csv"
+    events.write_text(simulate(tmp_path, "young_baseline", 200).read_text().replace("young_baseline", scenario))
+    capsys.readouterr()
+    assert run("eraser", "--events", events, "--gamma", 0.0, "--out", tmp_path / "m.csv") == 3
+    assert capsys.readouterr().err == f"fringelab: error: {events}: scenario {scenario!r} names no two-slit preset\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze header-only", "analyze all absorbed", "sweep all absorbed"])
 def test_an_empty_log_is_reported_as_empty(tmp_path, capsys, command):
     # a weak screen that neither scatters nor transmits absorbs every particle

@@ -292,10 +292,8 @@ def _grid():
 
 
 def _cold():
-    """Clear every slit cache, so the next call computes from scratch."""
-    composite._slit_waves = (None, {})
-    composite._phasors = {}
-    composite._envelope = (None, None)
+    """Clear the memo, so the next call computes from scratch."""
+    composite._kept.clear()
 
 
 def _negative_zero():
@@ -312,7 +310,7 @@ def _one_ulp_up():
 
 @pytest.fixture
 def counted_envelopes(monkeypatch, counted_phases):
-    """Cold slit caches, and the slit_envelope calls made since."""
+    """A cold memo, and the slit_envelope calls made since."""
     calls = []
     envelope = composite.slit_envelope
 
@@ -325,7 +323,7 @@ def counted_envelopes(monkeypatch, counted_phases):
 
 
 def _phasor(slit):
-    return composite._phasors[slit][1]
+    return composite._kept["phasor", slit][1]
 
 
 # (why, geometry, beam, slit, include_envelope, x) of a call that must not
@@ -369,7 +367,7 @@ def test_a_changed_argument_computes_a_new_wave(
     assert wave.shape == x.shape
     assert (_phasor(slit) is not first) == (why in _NEW_PHASOR)
     assert _phasor(1) is first or slit == 1
-    assert sorted(composite._phasors) == sorted({1, slit})
+    assert [s for s in (1, 2) if ("phasor", s) in composite._kept] == sorted({1, slit})
     assert len(counted_envelopes) == 1 + (why in _NEW_ENVELOPE)
     fresh = slit_branch_amplitude(geometry, beam, slit, envelope)(x.copy())  # a hit on the new wave
     assert len(counted_phases) == 2
@@ -413,7 +411,9 @@ def test_both_slits_share_the_cache_and_a_hit_is_the_same_array(counted_phases):
 
 def test_kept_waves_are_read_only(counted_phases):
     amp = slit_branch_amplitude(GEO, BEAM, 1)
-    for wave in (amp(_grid()), amp(_grid()), _phasor(1), composite._envelope[1]):  # a miss, a hit, what it kept
+    missed, hit = amp(_grid()), amp(_grid())
+    assert set(composite._kept) == {("wave", 1), ("phasor", 1), "envelope"}
+    for wave in (missed, hit, *(value for _, value in composite._kept.values())):
         assert not wave.flags.writeable
         with pytest.raises(ValueError):
             wave[0] = 0.0
@@ -423,7 +423,7 @@ def test_scalar_positions_are_not_kept(counted_phases):
     amp = slit_branch_amplitude(GEO, BEAM, 1)
     assert amp(0.0) == amp(0.0)
     assert len(counted_phases) == 2
-    assert (composite._slit_waves, composite._phasors, composite._envelope) == ((None, {}), {}, (None, None))
+    assert composite._kept == {}
 
 
 @pytest.mark.parametrize("key,values", [
@@ -451,5 +451,11 @@ def test_one_copy_of_the_grid_bytes_is_kept(counted_phases):
     two_slit_composite(GEO, BEAM).branch1.com_amplitude(_grid())
     state = two_slit_composite(replace(GEO, slit_amplitudes=(0.5, 1.0)), BEAM)
     state.branch1.com_amplitude(_grid())  # a wave miss and an envelope hit
-    state.branch2.com_amplitude(_grid())  # a wave miss on the held key
-    assert composite._envelope[0][-1] is composite._slit_waves[0][-1]
+    state.branch2.com_amplitude(_grid())  # a wave miss on the held grid
+    grids = [composite._kept[kind][0][-1] for kind in ("envelope", ("wave", 1), ("wave", 2))]
+    assert grids[0] is grids[1] is grids[2]
+    _cold()
+    flat = two_slit_composite(GEO, BEAM, include_envelope=False)  # no envelope to share the grid through
+    flat.branch1.com_amplitude(_grid())
+    flat.branch2.com_amplitude(_grid())
+    assert composite._kept["wave", 1][0][-1] is composite._kept["wave", 2][0][-1]

@@ -1,7 +1,5 @@
 """Presets, the key = value config format, validation, and digests."""
 
-import math
-
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -19,7 +17,7 @@ from fringelab.config import (
     parse_config,
     serialize_config,
 )
-from fringelab.wavefield import MZGeometry, TwoSlitGeometry
+from fringelab.wavefield import TwoSlitGeometry
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -354,9 +354,23 @@ def test_the_cache_holds_one_geometry(counted_phases):
         config = parse_config(text, overrides={"geometry.slit_width": repr(width)})
         run_experiment(config, 50, seed=1)
     assert len(counted_phases) == 10
-    key, waves = composite._slit_waves
-    assert key[0] == config.geometry
-    assert sorted(waves) == [1, 2]
+    assert [composite._kept["wave", slit][0][0] for slit in (1, 2)] == [config.geometry, config.geometry]
+
+
+_KINDS = {("wave", 1), ("wave", 2), ("phasor", 1), ("phasor", 2), "envelope"}
+
+
+def test_the_memo_stays_bounded_over_every_preset_and_two_slit_sweeps(counted_phases):
+    for name in PRESET_NAMES:
+        run_experiment(build_preset(name), 50, seed=1)
+    text = serialize_config(build_preset("eraser_modulation"))
+    for key, values in (("geometry.slit_width", (1e-6, 2e-6, 3e-6)), ("geometry.slit_amplitude1", (0.25, 0.5, 1j))):
+        for value in values:
+            run_experiment(parse_config(text, overrides={key: repr(value)}), 50, seed=1)
+    assert set(composite._kept) <= _KINDS
+    grid_keys = [held[0] for kind, held in composite._kept.items() if kind == "envelope" or kind[0] == "wave"]
+    assert len(grid_keys) == 3
+    assert len({id(key[-1][-1]) for key in grid_keys}) == 1  # one bytes object for x
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
