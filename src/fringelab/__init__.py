@@ -66,4 +66,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -216,19 +216,19 @@ def profile_visibility(values) -> float:
 
 
 def distinguishability(log: "EventLog") -> MetricValue:
-    """Fraction of which-way records that pin down the path.
+    """Fraction of which-way records that pin down the path, read from
+    the two cavity-count columns alone.
 
-    A two-cavity record with exactly one photon determines the path; a
-    single-cavity record determines it either way, because zero photons
-    certifies the uncovered slit. Logs whose events carry no which-way
-    records at all (no recording mechanism was configured) get a flagged
-    null rather than a number.
+    A record with one photon names the slit whose cavity holds it; a
+    record with none names slit 2, which only a single-cavity run leaves
+    untagged. The row rules admit no other count pair. Logs whose events
+    carry no which-way records at all (no recording mechanism was
+    configured) get a flagged null rather than a number.
     """
     cavity1 = log.column("cavity1_photons")
     if cavity1.size == 0:
         return MetricValue(None, "no which-way records")
-    total = cavity1 + log.column("cavity2_photons")
-    determined = (total == 1) | (log.column("single_cavity_mode") & (total == 0))
+    determined = cavity1 + log.column("cavity2_photons") <= 1
     return MetricValue(int(np.count_nonzero(determined)) / cavity1.size)
 
 
@@ -262,8 +262,8 @@ class FringeMetrics:
     duality: Optional[DualityResult] = None
 
 
-def compute_metrics(h: FringeHistogram, log: "EventLog", window: tuple[float, float] | None = None) -> FringeMetrics:
-    v = visibility(h, window)
+def compute_metrics(h: FringeHistogram, log: "EventLog") -> FringeMetrics:
+    v = visibility(h)
     spacing = fringe_spacing(h)
     d = distinguishability(log)
     duality = duality_check(v.value, d.value) if v.present and d.present else None

@@ -37,9 +37,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from .composite import CompositeState, noise_averaged_pattern, overlap_pair, slit_branch_amplitude, two_slit_composite
-from .config import CAVITY_SCENARIOS, MZ_SCENARIOS, ExperimentConfig, config_digest
+from .config import CAVITY_SCENARIOS, MZ_SCENARIOS, ExperimentConfig
 from .measurement import measured_signal, midline_profile
 from .montecarlo import (
+    SAMPLING_CELLS,
     EventColumns,
     EventLog,
     RngStream,
@@ -49,9 +50,6 @@ from .montecarlo import (
     sampling_grid,
 )
 from .wavefield import TwoSlitGeometry, mz_port_intensity
-
-#: Cells in the inverse-CDF sampling grid across the screen.
-SAMPLING_CELLS = 4096
 
 #: Particles drawn per block of a stream. Bounds a run's scratch columns
 #: and uniforms, and with the cells of a streamed write about 1 MB.
@@ -265,7 +263,7 @@ def event_blocks(config: ExperimentConfig, n_events: int, seed: int, n_streams: 
     base, remainder = divmod(n_events, n_streams)
     for s in range(min(n_streams, n_events)):  # a stream with no particle adds nothing
         for n, fields in stream_blocks(RngStream(seed, s).generator(), base + (1 if s < remainder else 0)):
-            yield EventColumns(*_generate(config, s, n, fields), single_cavity=config.single_cavity)
+            yield EventColumns(*_generate(config, s, n, fields))
 
 
 def run_experiment(
@@ -276,12 +274,11 @@ def run_experiment(
     The log is event_blocks(config, n_events, seed, n_streams) joined:
     its events and event ids are those rows in order, and its EventLog
     checks them once. The log holds the columns and the records built
-    from them. With records=False, as sweep calls it, the records are
-    left to a first read of log.events.
+    from them, and equals the log read back from its events CSV. With
+    records=False, as sweep calls it, the records are left to a first
+    read of log.events.
     """
-    blocks = (block[:-1] for block in event_blocks(config, n_events, seed, n_streams))
-    columns = EventColumns(*map(np.concatenate, zip(*blocks)), single_cavity=config.single_cavity)
-    log = EventLog(columns, config_digest(config))
+    log = EventLog(EventColumns(*map(np.concatenate, zip(*event_blocks(config, n_events, seed, n_streams)))))
     if records:
         # builds the records here, for the benchmark's weak_screen step, which reads
         # log.events; once it reads log.column("mz_port"), this branch and the

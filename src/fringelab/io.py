@@ -319,20 +319,16 @@ def _cite_bad_row(path: PathLike, blocks: list, experiments: dict[str, str]) -> 
 
 
 def read_events_csv(path: PathLike) -> EventLog:
-    """Parse an events CSV into a column-backed log.
+    """Parse an events CSV into a column-backed log, equal to the log
+    that was written.
 
-    The file does not carry the configuration digest, so the returned
-    log's digest is empty. Nor does it carry the single-cavity flag: rows
-    with zero total photons can only come from single-cavity tagging and
-    read back in that mode, but a young_single_cavity log's slit-1 rows
-    (counts 1, 0) read back outside it. The text is read and decoded a
-    chunk of about READ_BLOCK rows at a time, floats with float() and ids
-    by one numpy parse, or int() where that misses, so the whole text is
-    never held; the blocks of columns are joined into one EventLog, which
-    checks them once. When a block fails to decode or the log refuses a
-    row, the ValueError cites the first bad row's path:line, as does a
-    non-UTF-8 byte, which is cited first wherever it is. Blank lines are
-    skipped but counted.
+    The text is read and decoded a chunk of about READ_BLOCK rows at a
+    time, floats with float() and ids by one numpy parse, or int() where
+    that misses, so the whole text is never held; the blocks of columns
+    are joined into one EventLog, which checks them once. When a block
+    fails to decode or the log refuses a row, the ValueError cites the
+    first bad row's path:line, as does a non-UTF-8 byte, which is cited
+    first wherever it is. Blank lines are skipped but counted.
     """
     chunks = _chunks(path)
     experiments: dict[str, str] = {}

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import FringeHistogram
 from .composite import CompositeState
-from .montecarlo import sample_position, sampling_grid
+from .montecarlo import SAMPLING_CELLS, sample_position, sampling_grid
 from .wavefield import BeamSpec, MZGeometry, TwoSlitGeometry, crossing_intensity, single_slit_intensity
 
 MEASUREMENT_MODES = ("center_of_mass", "internal")
@@ -145,7 +145,7 @@ class ScreenOutcome:
             raise ValueError("scattered outcomes carry (x, y); others carry neither")
 
 
-def midline_profile(mz: MZGeometry, beam: BeamSpec, n_cells: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def midline_profile(mz: MZGeometry, beam: BeamSpec, n_cells: int = SAMPLING_CELLS) -> tuple[np.ndarray, np.ndarray]:
     """Sampling grid and intensity along the screen's horizontal midline."""
     region = mz.crossing_region
     positions = sampling_grid(region.x_min, region.x_max, n_cells)
@@ -182,21 +182,18 @@ def weak_screen_interact(
 
 @dataclass(frozen=True)
 class WhichWayRecord:
-    """Photon counts left in the path-tagging cavities by one particle."""
+    """Photon counts left in the path-tagging cavities by one particle:
+    one in the traversed slit's cavity, or none for an uncovered slit 2."""
 
     cavity1_photons: int
     cavity2_photons: int
-    single_cavity_mode: bool = False
 
     def __post_init__(self) -> None:
         for name, v in (("cavity1_photons", self.cavity1_photons), ("cavity2_photons", self.cavity2_photons)):
             if v not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {v!r}")
-        total = self.cavity1_photons + self.cavity2_photons
-        if total > 1:
+        if self.cavity1_photons + self.cavity2_photons > 1:
             raise ValueError("at most one photon per particle")
-        if not self.single_cavity_mode and total != 1:
-            raise ValueError("two-cavity mode must record exactly one photon")
 
     @property
     def inferred_path(self) -> int:
@@ -212,8 +209,8 @@ def micromaser_record(
 ) -> WhichWayRecord:
     """Sample the traversed slit and deposit the photon accordingly.
 
-    Two-cavity mode puts one photon in the traversed slit's cavity.
-    Single-cavity mode covers only slit 1, so a slit-2 traversal leaves
+    Two cavities put one photon in the traversed slit's cavity. With
+    single_cavity only slit 1 is covered, so a slit-2 traversal leaves
     both counts zero and the path is inferred from the absence.
     Consumes exactly one uniform.
     """
@@ -221,9 +218,7 @@ def micromaser_record(
     if not (math.isfinite(p1) and math.isfinite(p2)) or p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
         raise ValueError(f"slit probabilities must be nonnegative and sum to 1, got ({p1!r}, {p2!r})")
     slit = 1 if rng.random() < p1 else 2
-    if single_cavity:
-        return WhichWayRecord(1 if slit == 1 else 0, 0, single_cavity_mode=True)
-    return WhichWayRecord(1 if slit == 1 else 0, 1 if slit == 2 else 0)
+    return WhichWayRecord(1 if slit == 1 else 0, 1 if slit == 2 and not single_cavity else 0)
 
 
 def eraser_singles(geometry: TwoSlitGeometry, beam: BeamSpec,

@@ -106,8 +106,7 @@ def _spread(present: np.ndarray, values: list) -> list:
 
 
 #: The fields column() reads, each from the events that carry it.
-EVENT_FIELDS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_photons",
-                "single_cavity_mode", "scatter_x", "scatter_y")
+EVENT_FIELDS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_photons", "scatter_x", "scatter_y")
 
 
 class EventColumns(NamedTuple):
@@ -118,8 +117,7 @@ class EventColumns(NamedTuple):
     the port and cavity columns -1, where an event does not carry the
     field; mz_port indexes MZ_PORTS, stream_id is uint64, and experiment
     holds one shared string per distinct name. A row with cavity counts is
-    a which-way record, in single-cavity mode when single_cavity is set (a
-    single-cavity run) or both counts are 0.
+    a which-way record. The columns are all that a log holds.
     """
 
     experiment: np.ndarray
@@ -130,7 +128,6 @@ class EventColumns(NamedTuple):
     scatter_x: np.ndarray
     scatter_y: np.ndarray
     stream_id: np.ndarray
-    single_cavity: bool = False
 
     def column(self, name: str) -> np.ndarray:
         """The named field of every event that carries it, in log order."""
@@ -140,9 +137,6 @@ class EventColumns(NamedTuple):
             return self.experiment
         if name == "mz_port":
             return _PORTS_OR_NONE[self.mz_port[self.mz_port >= 0]]
-        if name == "single_cavity_mode":
-            c1, c2 = self.cavity1_photons, self.cavity2_photons
-            return ((c1 + c2 == 0) | self.single_cavity)[c1 >= 0]
         values = getattr(self, name)
         if name in ("cavity1_photons", "cavity2_photons"):
             return values[values >= 0]
@@ -204,7 +198,7 @@ def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
         # pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1)
         shared = np.full(9, None, dtype=object)
         for a, b in ((0, 0), (0, 1), (1, 0)):
-            shared[3 * a + b + 4] = WhichWayRecord(a, b, single_cavity_mode=c.single_cavity or a + b == 0)
+            shared[3 * a + b + 4] = WhichWayRecord(a, b)
         whichway = shared[3 * c1 + c.cavity2_photons + 4].tolist()
     events = list(map(object.__new__, repeat(DetectionEvent, n)))
     for set_field, values in (
@@ -222,7 +216,7 @@ def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
 
 
 class EventLog:
-    """Ordered detection events plus the hash of the producing config.
+    """Ordered detection events, held as the EventColumns they came from.
 
     A log is built from its EventColumns only: the constructor holds them
     to EventColumns.check() and makes them read-only, so every log, from
@@ -230,17 +224,16 @@ class EventLog:
     passed the row rules once. column() reads one field of them. events
     is a read-only view: the DetectionEvents built from the checked
     columns on first access, then kept. Logs are immutable and compare
-    equal when their config digests and columns are equal, NaN cells
-    equal to NaN.
+    equal when their columns are equal, NaN cells equal to NaN; a log
+    read back from its events CSV equals the log written.
     """
 
-    __slots__ = ("config_digest", "_events", "_columns")
+    __slots__ = ("_events", "_columns")
 
-    def __init__(self, columns: EventColumns, config_digest: str = "") -> None:
+    def __init__(self, columns: EventColumns) -> None:
         columns.check()
-        for column in columns[:-1]:
+        for column in columns:
             column.flags.writeable = False
-        object.__setattr__(self, "config_digest", config_digest)
         object.__setattr__(self, "_events", None)
         object.__setattr__(self, "_columns", columns)
 
@@ -263,12 +256,10 @@ class EventLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        a, b = self._columns, other._columns
-        return (self.config_digest == other.config_digest and a.single_cavity == b.single_cavity
-                and all(np.array_equal(x, y, equal_nan=x.dtype == float) for x, y in zip(a[:-1], b[:-1])))
+        return all(np.array_equal(x, y, equal_nan=x.dtype == float) for x, y in zip(self._columns, other._columns))
 
     def __hash__(self) -> int:
-        return hash((self.config_digest, len(self)))
+        return hash(len(self))
 
 
 def _profile_cdf(weights) -> np.ndarray:
@@ -335,7 +326,11 @@ def sample_positions(positions, weights, rng: np.random.Generator, n: int) -> np
     return _inverse_cdf(positions, cdf, draws[:, 0], draws[:, 1])
 
 
-def sampling_grid(x_min: float, x_max: float, n_cells: int = 4096) -> np.ndarray:
+#: Cells in the inverse-CDF sampling grid across the screen or midline.
+SAMPLING_CELLS = 4096
+
+
+def sampling_grid(x_min: float, x_max: float, n_cells: int = SAMPLING_CELLS) -> np.ndarray:
     """Cell centers of the uniform sampling grid over [x_min, x_max]."""
     if n_cells < 1:
         raise ValueError("n_cells must be positive")

@@ -75,7 +75,7 @@ class BeamSpec:
 @dataclass(frozen=True)
 class ScreenGrid:
     """Extent of the observation screen. Events are drawn on a fixed grid of
-    cells across it (experiments.SAMPLING_CELLS)."""
+    cells across it (montecarlo.SAMPLING_CELLS)."""
 
     x_min: float
     x_max: float

@@ -7,7 +7,7 @@ from fringelab import composite
 from fringelab.montecarlo import MZ_PORTS, EventColumns
 
 
-def event_columns(*rows, single_cavity=False) -> EventColumns:
+def event_columns(*rows) -> EventColumns:
     """EventColumns of hand-written rows, for logs built by hand.
 
     A row is a tuple in column order, (experiment, screen_x, mz_port,
@@ -27,7 +27,7 @@ def event_columns(*rows, single_cavity=False) -> EventColumns:
         cells([MZ_PORTS.index(p) if isinstance(p, str) else p for p in ports], -1, np.int8),
         cells(c1, -1, np.int8), cells(c2, -1, np.int8),
         cells(scatter_x, np.nan, float), cells(scatter_y, np.nan, float),
-        np.array(streams, dtype=np.uint64), single_cavity=single_cavity,
+        np.array(streams, dtype=np.uint64),
     )
 
 

@@ -230,8 +230,7 @@ def test_distinguishability_two_cavity_records_determine_paths():
 
 
 def test_distinguishability_single_cavity_counts_absences():
-    log = EventLog(event_columns(*(("run", 0.0, None, 1 if i % 3 == 0 else 0, 0) for i in range(9)),
-                                 single_cavity=True))
+    log = EventLog(event_columns(*(("run", 0.0, None, 1 if i % 3 == 0 else 0, 0) for i in range(9))))
     d = distinguishability(log)
     assert d.value == 1.0
 

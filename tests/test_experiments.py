@@ -6,7 +6,7 @@ import pytest
 from fringelab import composite, experiments, montecarlo
 from fringelab.cli import main
 from fringelab.composite import literal_pattern, noise_averaged_pattern
-from fringelab.config import MZ_SCENARIOS, PRESET_NAMES, build_preset, config_digest, parse_config, serialize_config
+from fringelab.config import MZ_SCENARIOS, PRESET_NAMES, build_preset, parse_config, serialize_config
 from fringelab.experiments import (
     SAMPLING_CELLS,
     composite_from_config,
@@ -80,7 +80,6 @@ def test_every_preset_generates_events(name):
     config = build_preset(name)
     log = run_experiment(config, 400, seed=11)
     assert 0 < len(log) <= 400
-    assert log.config_digest == config_digest(config)
     assert all(e.experiment == name for e in log.events)
     assert [e.event_id for e in log.events] == list(range(len(log)))
 
@@ -94,7 +93,6 @@ def test_event_shapes_match_scenario_family():
     assert all(e.whichway.cavity1_photons + e.whichway.cavity2_photons == 1 for e in tagged.events)
 
     single = run_experiment(build_preset("young_single_cavity"), 100, seed=1)
-    assert all(e.whichway.single_cavity_mode for e in single.events)
     assert all(e.whichway.cavity2_photons == 0 for e in single.events)
 
     ports = run_experiment(build_preset("mz_with_bs2"), 100, seed=1)

@@ -211,20 +211,17 @@ def test_weak_screen_draw_accounting():
 def test_whichway_record_validation():
     WhichWayRecord(1, 0)
     WhichWayRecord(0, 1)
-    WhichWayRecord(0, 0, single_cavity_mode=True)
+    WhichWayRecord(0, 0)
     with pytest.raises(ValueError):
         WhichWayRecord(1, 1)
     with pytest.raises(ValueError):
-        WhichWayRecord(0, 0)
-    with pytest.raises(ValueError):
-        WhichWayRecord(2, 0, single_cavity_mode=True)
+        WhichWayRecord(2, 0)
 
 
 def test_whichway_inferred_path():
     assert WhichWayRecord(1, 0).inferred_path == 1
     assert WhichWayRecord(0, 1).inferred_path == 2
-    assert WhichWayRecord(0, 0, single_cavity_mode=True).inferred_path == 2
-    assert WhichWayRecord(1, 0, single_cavity_mode=True).inferred_path == 1
+    assert WhichWayRecord(0, 0).inferred_path == 2
 
 
 def test_micromaser_record_two_cavity_counts():
@@ -243,7 +240,6 @@ def test_micromaser_record_single_cavity_leaves_absences():
     g = rng(6)
     records = [micromaser_record((0.5, 0.5), True, g) for _ in range(2_000)]
     assert all(r.cavity2_photons == 0 for r in records)
-    assert all(r.single_cavity_mode for r in records)
     empties = sum(1 for r in records if r.cavity1_photons == 0)
     assert 0 < empties < 2_000
 

@@ -92,7 +92,7 @@ def test_shared_whichway_records_equal_fresh_ones(tmp_path, preset):
         shared = {id(e.whichway): e.whichway for e in events}
         assert len(shared) == 2
         for record in shared.values():
-            fresh = WhichWayRecord(record.cavity1_photons, record.cavity2_photons, record.single_cavity_mode)
+            fresh = WhichWayRecord(record.cavity1_photons, record.cavity2_photons)
             assert record == fresh
             assert hash(record) == hash(fresh)
 
@@ -107,26 +107,16 @@ def test_event_rejects_any_attribute_assignment():
     assert event == DetectionEvent(0, "run", screen_x=0.5)
 
 
-_COLUMNS = ("experiment", "screen_x", "mz_port", "cavity1_photons", "cavity2_photons",
-            "single_cavity_mode", "scatter_x", "scatter_y")
-
-
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_record_and_column_logs_give_equal_columns(tmp_path, monkeypatch, preset):
     records = run_experiment(build_preset(preset), 600, seed=3, n_streams=2)
     path = tmp_path / "events.csv"
     write_events_csv(records, path)
     columns = read_events_csv(path)
-    assert len(columns) == len(records)
-    for name in _COLUMNS:
-        a, b = columns.column(name), records.column(name)
-        assert a.dtype == b.dtype, name
-        if name == "single_cavity_mode":
-            # the file keeps the flag only where it matters: no photon in either cavity
-            empty = columns.column("cavity1_photons") + columns.column("cavity2_photons") == 0
-            a, b = a[empty], b[empty]
-        assert a.tolist() == b.tolist(), name
-    assert [e.stream_id for e in columns.events] == [e.stream_id for e in records.events]
+    assert columns == records
+    for name in montecarlo.EVENT_FIELDS:
+        assert columns.column(name).dtype == records.column(name).dtype, name
+    assert columns.events == records.events
     with pytest.raises(ValueError, match="unknown event field"):
         columns.column("whichway")
 
@@ -136,13 +126,11 @@ def test_record_and_column_logs_give_equal_columns(tmp_path, monkeypatch, preset
     monkeypatch.setattr(montecarlo, "_records", no_records)
     fresh, again = read_events_csv(path), read_events_csv(path)
     assert len(fresh) == len(records)
-    for name in _COLUMNS:
+    for name in montecarlo.EVENT_FIELDS:
         fresh.column(name)
     assert np.isnan(np.concatenate([fresh._columns.screen_x, fresh._columns.scatter_x])).any()
     assert fresh == again and hash(fresh) == hash(again)  # NaN cells compare equal
-    for changed in (fresh._columns._replace(stream_id=fresh._columns.stream_id + 1),
-                    fresh._columns._replace(single_cavity=not fresh._columns.single_cavity)):
-        assert fresh != EventLog(changed)
+    assert fresh != EventLog(fresh._columns._replace(stream_id=fresh._columns.stream_id + 1))
 
 
 def one_by_one(columns):
@@ -150,11 +138,10 @@ def one_by_one(columns):
     the same cavity counts share the first WhichWayRecord made for them."""
     shared = {}
     events = []
-    for i, (name, x, port, c1, c2, sx, sy, stream) in enumerate(zip(*(c.tolist() for c in columns[:8]))):
+    for i, (name, x, port, c1, c2, sx, sy, stream) in enumerate(zip(*(c.tolist() for c in columns))):
         whichway = None
         if c1 >= 0:
-            single = columns.single_cavity or c1 + c2 == 0
-            whichway = shared.setdefault((c1, c2), WhichWayRecord(c1, c2, single_cavity_mode=single))
+            whichway = shared.setdefault((c1, c2), WhichWayRecord(c1, c2))
         events.append(DetectionEvent(
             i, name, screen_x=None if x != x else x, mz_port=None if port < 0 else MZ_PORTS[port],
             whichway=whichway, scatter_xy=None if sx != sx else (sx, sy), stream_id=stream,
@@ -185,8 +172,18 @@ def test_bulk_built_records_equal_one_by_one_records(preset, n_streams):
         for f in dataclasses.fields(DetectionEvent):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(event, f.name, getattr(event, f.name))
-    if config.single_cavity:
-        assert all(e.whichway.single_cavity_mode for e in log.events)
+
+
+@pytest.mark.parametrize("n_streams", [1, 3])
+@pytest.mark.parametrize("preset", [*PRESET_NAMES, "absorbing_weak_screen"])
+def test_read_back_log_equals_the_run(tmp_path, preset, n_streams):
+    config = parse_config(_ABSORBING) if preset == "absorbing_weak_screen" else build_preset(preset)
+    log = run_experiment(config, 2000, seed=7, n_streams=n_streams)
+    path = tmp_path / "events.csv"
+    write_events_csv(log, path)
+    again = read_events_csv(path)
+    assert again == log
+    assert again.events == log.events
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -201,12 +198,11 @@ _ROWS = st.tuples(st.sampled_from(["run", "young_baseline", "mz_weak_screen", ""
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(_ROWS, max_size=30), single_cavity=st.booleans())
-def test_bulk_builder_fills_every_mix_of_rows_as_the_constructor_does(rows, single_cavity):
+@given(rows=st.lists(_ROWS, max_size=30))
+def test_bulk_builder_fills_every_mix_of_rows_as_the_constructor_does(rows):
     # mixes the presets never make: a partly present screen_x, ports next to
-    # scatter, cavity pair (0, 0) in a log without the single-cavity flag
-    columns = event_columns(*((name, x, port, *pair, *xy, stream) for name, (x, port, xy), pair, stream in rows),
-                            single_cavity=single_cavity)
+    # scatter, cavity pairs (0, 0) and (0, 1) in one log
+    columns = event_columns(*((name, x, port, *pair, *xy, stream) for name, (x, port, xy), pair, stream in rows))
     got, expected = EventLog(columns).events, one_by_one(columns)
     assert got == expected
     assert [hash(e) for e in got] == [hash(e) for e in expected]
@@ -225,18 +221,17 @@ def test_bulk_builder_reads_only_port_code_minus_one_as_no_port():
 
 
 def test_event_log_is_immutable_and_built_from_one_source():
-    log = EventLog(event_columns(("run", 0.0)), "digest")
+    log = EventLog(event_columns(("run", 0.0)))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        log.config_digest = ""
+        log._columns = log._columns
     with pytest.raises(AttributeError):
         log.events = ()
-    assert log == EventLog(event_columns(("run", 0.0)), "digest")
-    assert log != EventLog(event_columns(("run", 0.0)))
-    assert hash(log) == hash(EventLog(event_columns(("run", 0.0)), "digest"))
+    assert log == EventLog(event_columns(("run", 0.0)))
+    assert hash(log) == hash(EventLog(event_columns(("run", 0.0))))
     assert log._events is None  # records are built from the checked columns on first read
     assert log.events is log.events
     # the rows stay as checked: no column can be edited in place, not even the one column() hands out
-    for column in (*log._columns[:-1], log.column("experiment")):
+    for column in (*log._columns, log.column("experiment")):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[0]
 
