@@ -21,8 +21,6 @@ from .composite import (
     PhaseNoise,
     StateVector,
     TRIVIAL_STATE,
-    dephase,
-    ensemble_pattern,
     inner,
     literal_pattern,
     noise_averaged_pattern,
@@ -41,15 +39,12 @@ from .config import (
 from .experiments import composite_from_config, pattern_profile, run_experiment, slit_probabilities
 from .measurement import (
     MeasurementOperator,
-    ScreenOutcome,
     WeakScreen,
     WhichWayRecord,
     coincidence_modulate,
     measured_signal,
-    micromaser_record,
-    weak_screen_interact,
 )
-from .montecarlo import DetectionEvent, EventLog, RngStream, sample_position, sample_positions, sampling_grid
+from .montecarlo import DetectionEvent, EventLog, RngStream, sample_positions, sampling_grid
 from .wavefield import (
     BeamSpec,
     CrossingRegion,
@@ -66,4 +61,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -7,8 +7,9 @@ Each row is checked once, when the EventLog holding it is built.
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad key, bad
 value, unknown preset, out-of-range seed, count or gamma, non-finite
-sweep bounds), 3 runtime failure (missing or malformed event log, eraser
-log naming no two-slit preset, unwritable output, no analyzable field).
+sweep bounds, a config file that is not UTF-8), 3 runtime failure
+(missing or malformed event log, eraser log naming no two-slit preset,
+unwritable output, no analyzable field, a size too large to allocate).
 """
 
 from __future__ import annotations
@@ -89,10 +90,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_text(path: str) -> str:
+    """The config file's text. A byte that is not UTF-8 is a config error
+    citing path:line, lines numbered as parse_config numbers them."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode() + "?").splitlines())
+        raise ConfigError(f"{path}:{line}: {exc}") from exc
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -237,6 +245,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"fringelab: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a size no array can take, such as --bins 10**12
+        print(f"fringelab: error: {exc or 'out of memory'}", file=sys.stderr)
         return 3
 
 

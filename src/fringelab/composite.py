@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -315,18 +315,6 @@ class PhaseNoise:
     def gaussian(cls, sigma: float, independent_per_branch: bool = True) -> "PhaseNoise":
         return cls("gaussian", independent_per_branch=independent_per_branch, sigma=sigma)
 
-    def draw(self, rng: np.random.Generator, size=None):
-        """Sample phase offsets; the same sampler dephase() consumes."""
-        if self.distribution == "none":
-            return 0.0 if size is None else np.zeros(size)
-        if self.distribution == "constant":
-            if size is None:
-                return self.value
-            return np.full(size, self.value)
-        if self.distribution == "uniform":
-            return rng.uniform(self.low, self.high, size)
-        return rng.normal(0.0, self.sigma, size)
-
     def mean_phase_factor(self) -> complex:
         """Exact expectation of e^{i offset} under this distribution."""
         if self.distribution == "none":
@@ -352,62 +340,15 @@ class PhaseNoise:
         return m.conjugate() * m
 
 
-def dephase(state: CompositeState, noise: PhaseNoise, rng: np.random.Generator) -> CompositeState:
-    """Copy of the state with freshly drawn extra phases.
-
-    "none" returns the input unchanged and consumes no randomness;
-    "constant" sets both branch phases to the configured value, also
-    without consuming randomness. Random distributions draw branch 1
-    first, then branch 2 (or a single shared value).
-    """
-    if noise.distribution == "none":
-        return state
-    if noise.distribution == "constant":
-        d1 = d2 = noise.value
-    elif noise.independent_per_branch:
-        d1 = float(noise.draw(rng))
-        d2 = float(noise.draw(rng))
-    else:
-        d1 = d2 = float(noise.draw(rng))
-    b1, b2 = state.branches
-    return CompositeState(
-        (replace(b1, extra_phase=d1), replace(b2, extra_phase=d2)),
-    )
-
-
 def noise_averaged_pattern(state: CompositeState, noise: PhaseNoise, x) -> np.ndarray:
     """Exact expectation of the screen pattern under the noise distribution.
 
-    Any extra phases already on the branches are disregarded: like
-    dephase(), the noise replaces them. Because the pattern is affine in
-    e^{i(d2-d1)}, plugging the distribution's exact cross factor into the
-    cross term gives the infinite-ensemble average in closed form, which
-    is also the exact marginal position density of a particle whose
-    phases are drawn fresh from the noise.
+    Any extra phases already on the branches are disregarded: as in the
+    dephase oracle (tests/oracles.py), the noise replaces them. Because
+    the pattern is affine in e^{i(d2-d1)}, plugging the distribution's
+    exact cross factor into the cross term gives the infinite-ensemble
+    average in closed form, which is also the exact marginal position
+    density of a particle whose phases are drawn fresh from the noise.
     """
     base, cross = pattern_terms(state, x)
     return base + 2.0 * np.real(cross * noise.cross_phase_factor())
-
-
-def ensemble_pattern(
-    state: CompositeState,
-    noise: PhaseNoise,
-    n_draws: int,
-    rng: np.random.Generator,
-    x,
-) -> np.ndarray:
-    """Average screen pattern over n_draws dephased copies of the state.
-
-    The pattern is affine in the per-copy phase factor e^{i(d2-d1)}, so
-    averaging that factor over the draws and evaluating once is the exact
-    profile average, just without the n_draws-fold grid evaluation.
-    Draws come in two blocks (all branch-1 offsets, then all branch-2)
-    for the independent case, one block when shared.
-    """
-    if n_draws < 1:
-        raise ValueError(f"ensemble_pattern needs n_draws >= 1, got {n_draws}")
-    base, cross = pattern_terms(state, x)
-    d1 = noise.draw(rng, n_draws)
-    d2 = noise.draw(rng, n_draws) if noise.independent_per_branch else d1
-    factor = complex(np.mean(np.exp(1j * (d2 - d1))))
-    return base + 2.0 * np.real(cross * factor)

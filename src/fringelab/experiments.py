@@ -26,8 +26,10 @@ continue its stream where the last block stopped, so the blocks hold the
 events one draw for the whole stream would. Weak-screen runs read their
 uniforms ahead in blocks and find each particle's start by doubling
 jumps along the variable strides (3, 2 or 1 uniforms per particle), so
-their output equals the per-particle loop over weak_screen_interact and
-a port draw; only the stream's position after the run differs.
+their output equals the per-particle loop over a screen interaction and
+a port draw; only the stream's position after the run differs. The
+per-particle operations each path must reproduce are the oracles in the
+test suite's tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ def _tagged_blocks(config: ExperimentConfig):
     single-slit profile, so the marginal over tags is the fringeless
     two-slit sum. measurement_mediated: positions follow the recorded
     fringe signal independent of the tag. The uniforms consumed per
-    event are (tag, cell, jitter) either way, identical to composing
-    micromaser_record with sample_position.
+    event are (tag, cell, jitter) either way, identical to composing the
+    micromaser_record and sample_position oracles (tests/oracles.py).
     """
     grid = _screen_grid(config)
     p1, _ = slit_probabilities(config.geometry)
@@ -177,8 +179,8 @@ def _port_blocks(config: ExperimentConfig):
 
 
 def _weak_screen_blocks(config: ExperimentConfig):
-    """Vectorized loop of weak_screen_interact plus a port draw when
-    transmitted.
+    """Vectorized loop of the weak_screen_interact oracle
+    (tests/oracles.py) plus a port draw when transmitted.
 
     Each block holds at least three uniforms per particle. Every uniform
     is classified as a particle's first draw would be (scatter band, then

@@ -22,12 +22,10 @@ import numpy as np
 
 from .analysis import FringeHistogram
 from .composite import CompositeState
-from .montecarlo import SAMPLING_CELLS, sample_position, sampling_grid
+from .montecarlo import SAMPLING_CELLS, sampling_grid
 from .wavefield import BeamSpec, MZGeometry, TwoSlitGeometry, crossing_intensity, single_slit_intensity
 
 MEASUREMENT_MODES = ("center_of_mass", "internal")
-
-OUTCOME_KINDS = ("scattered", "transmitted", "absorbed")
 
 
 def _coerce_elements(elements) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -129,55 +127,12 @@ class WeakScreen:
         return max(0.0, 1.0 - self.transmittance - self.scatter_fraction)
 
 
-@dataclass(frozen=True)
-class ScreenOutcome:
-    """Result of one particle meeting the weak screen."""
-
-    kind: str
-    x: Optional[float] = None
-    y: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in OUTCOME_KINDS:
-            raise ValueError(f"kind must be one of {OUTCOME_KINDS}, got {self.kind!r}")
-        has_point = self.x is not None and self.y is not None
-        if (self.kind == "scattered") != has_point:
-            raise ValueError("scattered outcomes carry (x, y); others carry neither")
-
-
 def midline_profile(mz: MZGeometry, beam: BeamSpec, n_cells: int = SAMPLING_CELLS) -> tuple[np.ndarray, np.ndarray]:
     """Sampling grid and intensity along the screen's horizontal midline."""
     region = mz.crossing_region
     positions = sampling_grid(region.x_min, region.x_max, n_cells)
     weights = np.asarray(crossing_intensity(mz, beam, positions, region.midline_y))
     return positions, weights
-
-
-def weak_screen_interact(
-    screen: WeakScreen,
-    mz: MZGeometry,
-    beam: BeamSpec,
-    rng: np.random.Generator,
-    midline: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ScreenOutcome:
-    """One particle crossing the screen.
-
-    Consumes one uniform to classify (scatter band first, then
-    transmission, remainder absorbed). A scattered particle consumes two
-    more to place its flash along the midline of the crossing region,
-    proportional to the local intensity there. Callers in a tight loop
-    can pass the precomputed midline (positions, weights) pair.
-    """
-    u = rng.random()
-    if u < screen.scatter_fraction:
-        if midline is None:
-            midline = midline_profile(mz, beam)
-        positions, weights = midline
-        x = sample_position(positions, weights, rng)
-        return ScreenOutcome("scattered", x=x, y=mz.crossing_region.midline_y)
-    if u < screen.scatter_fraction + screen.transmittance:
-        return ScreenOutcome("transmitted")
-    return ScreenOutcome("absorbed")
 
 
 @dataclass(frozen=True)
@@ -200,25 +155,6 @@ class WhichWayRecord:
         """Path the record certifies; zero photons tags path 2 when only
         path 1 carries a cavity."""
         return 1 if self.cavity1_photons == 1 else 2
-
-
-def micromaser_record(
-    slit_probabilities: tuple[float, float],
-    single_cavity: bool,
-    rng: np.random.Generator,
-) -> WhichWayRecord:
-    """Sample the traversed slit and deposit the photon accordingly.
-
-    Two cavities put one photon in the traversed slit's cavity. With
-    single_cavity only slit 1 is covered, so a slit-2 traversal leaves
-    both counts zero and the path is inferred from the absence.
-    Consumes exactly one uniform.
-    """
-    p1, p2 = (float(p) for p in slit_probabilities)
-    if not (math.isfinite(p1) and math.isfinite(p2)) or p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
-        raise ValueError(f"slit probabilities must be nonnegative and sum to 1, got ({p1!r}, {p2!r})")
-    slit = 1 if rng.random() < p1 else 2
-    return WhichWayRecord(1 if slit == 1 else 0, 1 if slit == 2 and not single_cavity else 0)
 
 
 def eraser_singles(geometry: TwoSlitGeometry, beam: BeamSpec,

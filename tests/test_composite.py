@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import dephase, ensemble_pattern
 
 from fringelab import composite
 from fringelab.composite import (
@@ -14,8 +15,6 @@ from fringelab.composite import (
     PhaseNoise,
     StateVector,
     TRIVIAL_STATE,
-    dephase,
-    ensemble_pattern,
     inner,
     literal_pattern,
     noise_averaged_pattern,

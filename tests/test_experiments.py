@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import micromaser_record, sample_position, weak_screen_interact
 
 from fringelab import composite, experiments, montecarlo
 from fringelab.cli import main
@@ -15,8 +16,8 @@ from fringelab.experiments import (
     run_experiment,
     slit_probabilities,
 )
-from fringelab.measurement import measured_signal, micromaser_record, midline_profile, weak_screen_interact
-from fringelab.montecarlo import DetectionEvent, RngStream, sample_position, sample_positions, sampling_grid
+from fringelab.measurement import measured_signal, midline_profile
+from fringelab.montecarlo import DetectionEvent, RngStream, sample_positions, sampling_grid
 from fringelab.wavefield import mz_port_intensity
 
 

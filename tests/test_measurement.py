@@ -5,19 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ScreenOutcome, micromaser_record, weak_screen_interact
 
 from fringelab.analysis import FringeHistogram
 from fringelab.composite import literal_pattern, overlap_pair, two_slit_composite
 from fringelab.measurement import (
     MeasurementOperator,
-    ScreenOutcome,
     WeakScreen,
     WhichWayRecord,
     coincidence_modulate,
     measured_signal,
-    micromaser_record,
     midline_profile,
-    weak_screen_interact,
 )
 from fringelab.wavefield import BeamSpec, CrossingRegion, MZGeometry, TwoSlitGeometry, crossing_intensity
 

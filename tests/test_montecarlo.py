@@ -8,6 +8,7 @@ import pytest
 from conftest import event_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_position
 from scipy import stats
 
 from fringelab import montecarlo
@@ -20,7 +21,6 @@ from fringelab.montecarlo import (
     DetectionEvent,
     EventLog,
     RngStream,
-    sample_position,
     sample_positions,
     sampling_grid,
 )

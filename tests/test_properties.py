@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import ensemble_pattern
 
 from fringelab.analysis import FringeHistogram, visibility
 from fringelab.composite import (
     PhaseNoise,
-    ensemble_pattern,
     inner,
     literal_pattern,
     overlap_pair,
