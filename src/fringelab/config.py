@@ -9,6 +9,9 @@ keys. The file format is line-oriented ``key = value`` with ``#``
 comments and dotted keys for nesting, chosen so configs stay diffable
 and trivially parseable. The dataclasses check values, the schema's
 getters decide which keys apply, and each rejection cites its key's line.
+The last text a config was built from is kept with its parsed lines, so
+a sweep, which parses one text with a new override per step, parses
+only the override after its first step.
 """
 
 from __future__ import annotations
@@ -337,15 +340,17 @@ def _blamed_line(entries: dict, values: dict[str, object], preset: dict[str, obj
     return None
 
 
-def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
-    """Parse key = value text into a validated configuration.
+#: The last text parse_config built a config from: (text, its line
+#: table, the value of each line that parses).
+_kept: Optional[tuple] = None
 
-    The scenario key selects the preset whose defaults fill every key the
-    text does not mention. overrides, when given, are applied on top of
-    the text (replacing file values); they are raw value strings keyed
-    like file keys, used by the sweep command. A set key that the built
-    config's getter reads as None does not apply and is refused.
-    """
+
+def _line_table(text: str) -> tuple[dict[str, tuple[Optional[int], str]], dict[str, object]]:
+    """text's key -> (line, raw value) table and the value of each line
+    whose key and value parse, from _kept when it holds text. Raises the
+    first line that is not key = value or repeats a key."""
+    if _kept is not None and _kept[0] == text:
+        return _kept[1], _kept[2]
     entries: dict[str, tuple[Optional[int], str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -362,7 +367,30 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
         if key in entries:
             raise ConfigError(f"duplicate key {key!r} (first set on line {entries[key][0]})", lineno)
         entries[key] = (lineno, value)
-    entries.update((key, (None, value)) for key, value in (overrides or {}).items())
+    parsed = {}
+    for key, (_, raw) in entries.items():
+        try:
+            parsed[key] = _SCHEMA[key][0](raw)
+        except (KeyError, ValueError):  # parse_config raises it, citing the line, unless overridden
+            continue
+    return entries, parsed
+
+
+def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ExperimentConfig:
+    """Parse key = value text into a validated configuration.
+
+    The scenario key selects the preset whose defaults fill every key the
+    text does not mention. overrides, when given, are applied on top of
+    the text (replacing file values); they are raw value strings keyed
+    like file keys, used by the sweep command. A set key that the built
+    config's getter reads as None does not apply and is refused. The last
+    text a config was built from is kept with its parsed values (_kept),
+    so parsing it again parses only the overrides; the config is still
+    built and checked, and an error cited, as on a first parse.
+    """
+    global _kept
+    text_entries, parsed = _line_table(text)
+    entries = {**text_entries, **{key: (None, value) for key, value in (overrides or {}).items()}}
     if "scenario" not in entries:
         raise ConfigError("missing required key: scenario")
     scenario_line, scenario = entries.pop("scenario")
@@ -373,6 +401,9 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
     for key, (lineno, raw) in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
+        if lineno is not None and key in parsed:
+            values[key] = parsed[key]
+            continue
         try:
             values[key] = _SCHEMA[key][0](raw)
         except ValueError as exc:
@@ -386,4 +417,5 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
             mode = f"= {config.measurement.mode}" if config.measurement else "unset"
             where = f" with measurement.mode {mode}" if key.startswith("measurement.") else ""
             raise ConfigError(f"key {key!r} is not valid for scenario {scenario}{where}", lineno)
+    _kept = (text, text_entries, parsed)
     return config

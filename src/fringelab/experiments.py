@@ -21,15 +21,16 @@ block's events as numpy columns. The command line's simulate hands each
 block to the CSV writer as it is drawn, so its memory does not grow with
 the run; run_experiment joins the blocks into one EventLog, whose
 constructor checks them once, and then builds the log's records in one
-bulk pass, unless the caller asks for the columns alone. A block's draws
-continue its stream where the last block stopped, so the blocks hold the
-events one draw for the whole stream would. Weak-screen runs read their
-uniforms ahead in blocks and find each particle's start by doubling
-jumps along the variable strides (3, 2 or 1 uniforms per particle), so
-their output equals the per-particle loop over a screen interaction and
-a port draw; only the stream's position after the run differs. The
-per-particle operations each path must reproduce are the oracles in the
-test suite's tests/oracles.py.
+bulk pass, unless the caller asks for the columns alone. A run of one
+block keeps that block's arrays, unconcatenated (EventColumns.join). A
+block's draws continue its stream where the last block stopped, so the
+blocks hold the events one draw for the whole stream would. Weak-screen
+runs read their uniforms ahead in blocks and find each particle's start
+by doubling jumps along the variable strides (3, 2 or 1 uniforms per
+particle), so their output equals the per-particle loop over a screen
+interaction and a port draw; only the stream's position after the run
+differs. The per-particle operations each path must reproduce are the
+oracles in the test suite's tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def run_experiment(
     records=False, as sweep calls it, the records are left to a first
     read of log.events.
     """
-    log = EventLog(EventColumns(*map(np.concatenate, zip(*event_blocks(config, n_events, seed, n_streams)))))
+    log = EventLog(EventColumns.join(event_blocks(config, n_events, seed, n_streams)))
     if records:
         # builds the records here, for the benchmark's weak_screen step, which reads
         # log.events; once it reads log.column("mz_port"), this branch and the

@@ -182,13 +182,16 @@ def _coded_column(cells: list[str], decode, dtype) -> np.ndarray:
     """decode applied once per distinct cell and spread over the cells;
     decode raises ValueError on a bad cell. One repeated cell fills the
     column; one-ASCII-character cells index a 128-entry table of values by
-    the bytes of their join; other cells map through a dict of values."""
+    their bytes; other cells map through a dict of values. The cells are
+    one character each exactly when their comma join is 2n - 1 characters
+    long with no comma at an even position."""
     if cells and cells.count(cells[0]) == len(cells):
         column = np.empty(len(cells), dtype=dtype)
         column[:] = decode(cells[0])  # np.full would copy a string into every object cell
         return column
-    chars = "".join(cells)
-    if len(chars) == len(cells) and chars.isascii() and "" not in cells:
+    joined = ",".join(cells)
+    chars = joined[::2]
+    if len(joined) == 2 * len(cells) - 1 and "," not in chars and chars.isascii():
         table = np.empty(128, dtype=dtype)
         for char in set(chars):
             table[ord(char)] = decode(char)
@@ -352,7 +355,7 @@ def read_events_csv(path: PathLike) -> EventLog:
     if not blocks:
         raise ValueError(f"{path}: missing or unexpected events header")
     try:
-        return EventLog(EventColumns(*map(np.concatenate, zip(*blocks))))
+        return EventLog(EventColumns.join(blocks))
     except ValueError:
         _cite_bad_row(path, blocks, experiments)
         raise

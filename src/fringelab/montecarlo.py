@@ -6,10 +6,16 @@ built on the Philox 4x64 counter-based bit generator, keyed by the pair
 platform and numpy release that ships Philox, and distinct stream ids
 give statistically independent streams, so event generation can be
 partitioned across streams and merged deterministically.
+
+An EventLog holds one EventColumns, joined from a run's blocks or a
+file's chunks by EventColumns.join (a lone block as it is), checked once
+by EventColumns.check(); its records are built on first read, and rows
+with equal cavity counts share one WhichWayRecord across every log.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
@@ -142,6 +148,16 @@ class EventColumns(NamedTuple):
             return values[values >= 0]
         return values[~np.isnan(values)]
 
+    @classmethod
+    def join(cls, blocks) -> EventColumns:
+        """One EventColumns of blocks of columns, in order: a lone block's
+        arrays as they are, more blocks' concatenated. Every log that
+        run_experiment or read_events_csv builds is joined here."""
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return cls(*blocks[0])
+        return cls(*map(np.concatenate, zip(*blocks)))
+
     def check(self) -> None:
         """The one home of the row rules, which EventLog's constructor runs,
         each over whole columns: cavity counts both present or both empty,
@@ -149,16 +165,17 @@ class EventColumns(NamedTuple):
         exactly one terminal field, finite screen and scatter values, a
         port code that indexes MZ_PORTS or is -1, cavity codes of -1, 0 or
         1, and experiment names that are str with no comma and nothing
-        str.splitlines breaks a line at."""
+        str.splitlines breaks a line at. Each mask is computed once, and
+        the NaN masks serve both the scatter-pair and the terminal rule."""
         port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
         if ((c1 < 0) != (c2 < 0)).any():
             raise ValueError("cavity counts must both be present or both empty")
         if (c1 + c2 > 1).any():
             raise ValueError("at most one photon per particle")
-        scattered = ~np.isnan(self.scatter_x)
-        if (scattered == np.isnan(self.scatter_y)).any():
+        no_screen, no_scatter = np.isnan(self.screen_x), np.isnan(self.scatter_x)
+        if (no_scatter != np.isnan(self.scatter_y)).any():
             raise ValueError("scatter cells must both be present or both empty")
-        populated = (~np.isnan(self.screen_x)).astype(np.int8) + (port >= 0) + scattered
+        populated = 2 - no_screen.astype(np.int8) - no_scatter + (port >= 0)
         if (populated != 1).any():
             raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
         infinite = np.isinf(self.screen_x)
@@ -184,22 +201,30 @@ class EventColumns(NamedTuple):
                 raise ValueError(f"experiment must hold no comma or line break, got {name!r}")
 
 
+@functools.cache
+def _whichway_records() -> tuple:
+    """The 9 entries _records takes which-way records from, made once per
+    process: check() leaves the count pairs (-1, -1), (0, 0), (0, 1) and
+    (1, 0); pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1).
+    Every log's rows with equal counts share one record. A tuple, as the
+    collector cannot see into an object array that would hold them."""
+    from .measurement import WhichWayRecord  # measurement imports this module
+
+    table = [None] * 9
+    for a, b in ((0, 0), (0, 1), (1, 0)):
+        table[3 * a + b + 4] = WhichWayRecord(a, b)
+    return tuple(table)
+
+
 def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
     """The rows of checked columns c as DetectionEvents, one field at a
     time, each field from one take over its column: ids are the row
     numbers, and equal cavity counts share one WhichWayRecord."""
-    from .measurement import WhichWayRecord  # measurement imports this module
-
     n, port, c1, none = c.experiment.size, c.mz_port, c.cavity1_photons, repeat(None)
     screen, scattered = ~np.isnan(c.screen_x), ~np.isnan(c.scatter_x)
     whichway = none
     if (c1 >= 0).any():
-        # check() leaves the count pairs (-1, -1), (0, 0), (0, 1) and (1, 0);
-        # pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1)
-        shared = np.full(9, None, dtype=object)
-        for a, b in ((0, 0), (0, 1), (1, 0)):
-            shared[3 * a + b + 4] = WhichWayRecord(a, b)
-        whichway = shared[3 * c1 + c.cavity2_photons + 4].tolist()
+        whichway = np.array(_whichway_records(), dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
     events = list(map(object.__new__, repeat(DetectionEvent, n)))
     for set_field, values in (
         (_set_event_id, range(n)),

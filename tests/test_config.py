@@ -1,9 +1,12 @@
 """Presets, the key = value config format, validation, and digests."""
 
+import re
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fringelab import config as config_module
 from fringelab.config import (
     _SCHEMA,
     CAVITY_SCENARIOS,
@@ -361,3 +364,99 @@ def test_schema_round_trips_in_range_values(scenario, data):
     assert again == config
     assert serialize_config(again) == text
     assert config_digest(again) == config_digest(config)
+
+
+class _CountedText(str):
+    """A config text that counts the times it is split into lines."""
+
+    splits = 0
+
+    def splitlines(self, *args):
+        type(self).splits += 1
+        return super().splitlines(*args)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """parse_config with no text kept."""
+    monkeypatch.setattr(config_module, "_kept", None)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_kept_text_parses_as_a_cold_one(monkeypatch, cold_memo, name):
+    text = _CountedText(serialize_config(build_preset(name)))
+    monkeypatch.setattr(_CountedText, "splits", 0)
+    for overrides in (None, {"internal_overlap": "0.25"}, {"internal_overlap": "0.5"}):
+        monkeypatch.setattr(config_module, "_kept", None)
+        cold = parse_config(text, overrides)
+        warm = parse_config(text, overrides)
+        assert warm == cold
+        assert serialize_config(warm).encode() == serialize_config(cold).encode()
+    assert _CountedText.splits == 3  # once per cold parse; the warm ones read the kept table
+
+
+@pytest.mark.parametrize("text,message", [
+    ("scenario = young_baseline\nwavelength without equals\n", "line 2: expected key = value"),
+    ("scenario = young_baseline\n = 1\n", "line 2: missing key before '='"),
+    ("scenario = young_baseline\ndetector_overlap = 0.5\ndetector_overlap = 0.6\n",
+     "line 3: duplicate key 'detector_overlap' (first set on line 2)"),
+    ("scenario = young_baseline\ngeometry.slit_count = 3\n", "line 2: unknown key 'geometry.slit_count'"),
+    ("scenario = young_baseline\ndetector_overlap = half\n", "line 2: bad value for detector_overlap"),
+    ("scenario = young_baseline\ndetector_overlap = 1.5\n", "line 2: detector_overlap must lie in [0, 1]"),
+])
+def test_a_bad_text_raises_alike_on_every_call_and_is_never_kept(cold_memo, text, message):
+    good = serialize_config(build_preset("young_baseline"))
+    expected = parse_config(good)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config(text)
+        kept = config_module._kept
+        assert kept is None or kept[0] == good
+        assert parse_config(good) == expected  # a good text parsed after a bad one still parses
+        assert config_module._kept[0] == good
+
+
+def test_a_kept_text_whose_bad_value_an_override_mended_still_cites_it(cold_memo):
+    text = "scenario = young_baseline\ndetector_overlap = half\n"
+    for _ in range(2):
+        assert parse_config(text, overrides={"detector_overlap": "0.5"}).detector_overlap == 0.5
+        assert config_module._kept[0] == text
+        with pytest.raises(ConfigError, match="^line 2: bad value for detector_overlap"):
+            parse_config(text)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"detector_overlap": "half"}, "bad value for detector_overlap"),
+    ({"detector_overlap": "1.5"}, "detector_overlap must lie in [0, 1]"),
+    ({"geometry.slit_count": "3"}, "unknown key 'geometry.slit_count'"),
+    ({"mz.phase_difference": "0.5"}, "key 'mz.phase_difference' is not valid for scenario young_baseline"),
+    ({"scenario": "young_quadruple_slit"}, "unknown scenario 'young_quadruple_slit'"),
+])
+def test_an_override_error_cites_no_line_on_a_miss_or_a_hit(cold_memo, overrides, message):
+    text = serialize_config(build_preset("young_baseline"))
+    for kept in (False, True):
+        assert (config_module._kept is not None and config_module._kept[0] == text) is kept
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}") as err:
+            parse_config(text, overrides)
+        assert err.value.line is None
+        parse_config(text)  # kept for the next round
+
+
+def test_an_override_never_leaks_into_the_next_parse(cold_memo):
+    text = serialize_config(build_preset("young_micromaser"))
+    plain = parse_config(text)
+    table = dict(config_module._kept[1])
+    for value in ("0.1", "0.9"):
+        assert parse_config(text, overrides={"internal_overlap": value}).internal_overlap == float(value)
+        assert parse_config(text, overrides={"geometry.slit_width": value + "e-6"}) != plain
+        assert parse_config(text) == plain
+    assert config_module._kept[1] == table
+
+
+def test_texts_one_byte_apart_each_parse_to_their_own_config(cold_memo):
+    a = "scenario = young_baseline\ndetector_overlap = 0.5\n"
+    b = "scenario = young_baseline\ndetector_overlap = 0.6\n"
+    for _ in range(2):
+        for text, value in ((a, 0.5), (b, 0.6), (a, 0.5)):
+            assert parse_config(text).detector_overlap == value
+            assert parse_config(text, overrides={"internal_overlap": "0.5"}).detector_overlap == value

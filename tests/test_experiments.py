@@ -9,15 +9,17 @@ from fringelab.cli import main
 from fringelab.composite import literal_pattern, noise_averaged_pattern
 from fringelab.config import MZ_SCENARIOS, PRESET_NAMES, build_preset, parse_config, serialize_config
 from fringelab.experiments import (
+    PARTICLE_BLOCK,
     SAMPLING_CELLS,
     composite_from_config,
+    event_blocks,
     fringe_window,
     pattern_profile,
     run_experiment,
     slit_probabilities,
 )
 from fringelab.measurement import measured_signal, midline_profile
-from fringelab.montecarlo import DetectionEvent, RngStream, sample_positions, sampling_grid
+from fringelab.montecarlo import DetectionEvent, EventColumns, EventLog, RngStream, sample_positions, sampling_grid
 from fringelab.wavefield import mz_port_intensity
 
 
@@ -133,6 +135,22 @@ def test_a_run_without_records_logs_the_same_columns(monkeypatch, name):
     assert bare == full
     monkeypatch.undo()
     assert bare.events == full.events
+
+
+@pytest.mark.parametrize("n_streams", [1, 3])
+@pytest.mark.parametrize("n", [PARTICLE_BLOCK, PARTICLE_BLOCK + 1])
+@pytest.mark.parametrize("name", ["young_baseline", "eraser_modulation", "mz_with_bs2", "mz_weak_screen"])
+def test_a_run_joins_its_blocks_as_concatenated_columns(name, n, n_streams):
+    # one stream of PARTICLE_BLOCK particles is one block, whose arrays the log takes as they are
+    config = build_preset(name)
+    blocks = list(event_blocks(config, n, seed=9, n_streams=n_streams))
+    assert (len(blocks) == 1) is (n == PARTICLE_BLOCK and n_streams == 1)
+    log = run_experiment(config, n, seed=9, n_streams=n_streams, records=False)
+    joined = EventColumns(*map(np.concatenate, zip(*blocks)))
+    assert log == EventLog(joined)
+    for got, want in zip(log._columns, joined):
+        assert got.dtype == want.dtype
+        assert not got.flags.writeable
 
 
 def test_streams_partition_and_merge_in_order():

@@ -27,6 +27,7 @@ from fringelab.io import (
     EVENTS_HEADER,
     HISTOGRAM_HEADER,
     METRICS_HEADER,
+    _chunks,
     read_events_csv,
     write_event_logs,
     write_events_csv,
@@ -256,6 +257,20 @@ def test_analyze_names_the_line_of_a_corrupt_cell(tmp_path, capsys, monkeypatch,
                  "--out-hist", str(tmp_path / "h.csv"), "--out-metrics", str(tmp_path / "m.csv")])
     assert code == 3
     assert f"{path}:7: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("events", [300, 10_000])
+@pytest.mark.parametrize("preset", ["young_baseline", "eraser_modulation", "mz_weak_screen"])
+def test_a_file_of_one_chunk_or_many_reads_back_equal_to_its_run(tmp_path, preset, events):
+    log = run_experiment(build_preset(preset), events, seed=6, n_streams=2, records=False)
+    path = tmp_path / "events.csv"
+    write_events_csv(log, path)
+    assert (len(list(_chunks(path))) == 1) is (events == 300)
+    again = read_events_csv(path)
+    assert again == log
+    for got, want in zip(again._columns, log._columns):
+        assert got.dtype == want.dtype
+        assert not got.flags.writeable
 
 
 # (rule, the row breaking it as a CSV row, the same row as columns, the message)

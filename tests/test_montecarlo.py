@@ -1,6 +1,7 @@
 """Random streams, the event log and its records, and inverse-CDF position sampling."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from fringelab.measurement import WhichWayRecord
 from fringelab.montecarlo import (
     MZ_PORTS,
     DetectionEvent,
+    EventColumns,
     EventLog,
     RngStream,
     sample_positions,
@@ -234,6 +236,64 @@ def test_event_log_is_immutable_and_built_from_one_source():
     for column in (*log._columns, log.column("experiment")):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[0]
+
+
+def test_a_lone_block_is_joined_as_it_is_and_more_are_concatenated():
+    a = event_columns(("run", 0.1), ("run", None, "x"))
+    b = event_columns(("run", None, None, None, None, 1.0, 2.0))
+    assert all(got is want for got, want in zip(EventColumns.join([a]), a))
+    joined = EventColumns.join(iter([a, b]))
+    assert EventLog(joined) == EventLog(event_columns(*(("run", 0.1), ("run", None, "x"),
+                                                        ("run", None, None, None, None, 1.0, 2.0))))
+
+
+#: EventColumns.check()'s rules in the order it runs them: the start of
+#: each one's message, and whether a row (experiment, screen_x, port code,
+#: cavity codes, scatter pair) breaks it.
+_CHECK_RULES = [
+    ("cavity counts must both be present or both empty", lambda n, x, p, c1, c2, sx, sy: (c1 < 0) != (c2 < 0)),
+    ("at most one photon per particle", lambda n, x, p, c1, c2, sx, sy: c1 + c2 > 1),
+    ("scatter cells must both be present or both empty", lambda n, x, p, c1, c2, sx, sy: np.isnan(sx) != np.isnan(sy)),
+    ("exactly one terminal field must be set",
+     lambda n, x, p, c1, c2, sx, sy: (not np.isnan(x)) + (p >= 0) + (not np.isnan(sx)) != 1),
+    ("screen_x must be finite", lambda n, x, p, c1, c2, sx, sy: np.isinf(x)),
+    ("scatter_xy must be finite", lambda n, x, p, c1, c2, sx, sy: np.isinf(sx) or np.isinf(sy)),
+    ("mz_port must be one of", lambda n, x, p, c1, c2, sx, sy: not -1 <= p < len(MZ_PORTS)),
+    ("cavity1_photons must be 0 or 1", lambda n, x, p, c1, c2, sx, sy: not -1 <= c1 <= 1),
+    ("cavity2_photons must be 0 or 1", lambda n, x, p, c1, c2, sx, sy: not -1 <= c2 <= 1),
+    ("experiment must be a str", lambda n, x, p, c1, c2, sx, sy: not isinstance(n, str)),
+    ("experiment must hold no comma or line break", lambda n, x, p, c1, c2, sx, sy: isinstance(n, str) and "," in n),
+]
+_CELLS = (("run", "a,b", 5), (0.1, np.nan, np.inf), (-1, 0, 2, -2), *[(-2, -1, 0, 1, 3)] * 2,
+          (np.nan, 0.1, np.inf), (np.nan, 0.2, -np.inf))
+
+
+def _rows_breaking():
+    """{broken rules: the first row of the _CELLS grid that breaks exactly those}."""
+    rows = {}
+    for row in itertools.product(*_CELLS):
+        rows.setdefault(frozenset(k for k, (_, broken) in enumerate(_CHECK_RULES) if broken(*row)), row)
+    return rows
+
+
+_BREAKING = _rows_breaking()
+_PAIRS = list(itertools.combinations(range(len(_CHECK_RULES)), 2))
+
+
+@pytest.mark.parametrize("first,second", _PAIRS, ids=[f"{i}-{j}" for i, j in _PAIRS])
+def test_of_two_broken_rules_check_raises_the_earlier(first, second):
+    message = f"^{re.escape(_CHECK_RULES[first][0])}"
+    # in one row, when a row can break both and no rule before them
+    one_row = [row for broken, row in _BREAKING.items() if second in broken and min(broken) == first]
+    if one_row:
+        with pytest.raises(ValueError, match=message):
+            event_columns((*one_row[0], 0)).check()
+    else:  # a finite rule needs its own terminal field, and a name is a str or not
+        assert (first, second) in ((4, 5), (9, 10))
+    # in two rows, the later rule broken in the first row
+    lone = [_BREAKING[frozenset({k})] for k in (second, first)]
+    with pytest.raises(ValueError, match=message):
+        event_columns(*((*row, 0) for row in lone)).check()
 
 
 def test_sampling_grid_centers():
