@@ -18,8 +18,10 @@ cross term, and random extra phases wash it out on ensemble average.
 States that differ only in their internal, detector or noise factors,
 such as the steps of an overlap sweep, share the slits' waves on a grid,
 and states that differ only in slit width or slit amplitudes share each
-slit's phasor e^{i phase} and the envelope: one memo, _kept, holds the
-last value of each, read-only (see slit_branch_amplitude).
+slit's phasor e^{i phase} and the envelope. States whose slits' waves
+are the held ones also share their baseline |psi1|^2 + |psi2|^2: one
+memo, _kept, holds the last value of each, read-only (see
+slit_branch_amplitude and pattern_terms).
 """
 
 from __future__ import annotations
@@ -157,11 +159,14 @@ _kept: dict = {}
 
 
 def _keep(kind, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
-    """kind's held value if its key equals key, else compute()'s, held read-only."""
+    """kind's held value if its key equals key, else compute()'s, held
+    read-only. A new wave drops the baseline held for the old one."""
     if kind in _kept and _kept[kind][0] == key:
         return _kept[kind][1]
     value = compute()
     value.flags.writeable = False
+    if kind in (("wave", 1), ("wave", 2)):
+        _kept.pop("base", None)
     _kept[kind] = (key, value)
     return value
 
@@ -189,7 +194,8 @@ def slit_branch_amplitude(
     diffraction; useful when checking visibility laws exactly.
 
     On a numeric array x the memo _kept holds the last value of five
-    kinds, read-only, for any function built here:
+    kinds, read-only, for any function built here, and pattern_terms
+    adds a sixth:
 
     - ("wave", slit), keyed on geometry, the slit amplitudes' repr, beam,
       envelope flag and x's dtype, shape and bytes: a sweep that leaves
@@ -198,11 +204,13 @@ def slit_branch_amplitude(
       and bytes: a sweep over slit width or a slit amplitude computes no
       new exponential;
     - "envelope", keyed on slit width, screen distance, beam and x, and
-      shared by both slits.
+      shared by both slits;
+    - "base", |psi1|^2 + |psi2|^2 of the two held waves (pattern_terms),
+      dropped whenever either wave is recomputed.
 
     A wave is envelope * (amp * phasor) either way, so kept and fresh
     waves have the same bits. The keys share one copy of x's bytes, and
-    the memo holds at most 384 KB on the 4096-cell sampling grid. A
+    the memo holds at most 416 KB on the 4096-cell sampling grid. A
     scalar x is computed every time and keeps nothing.
     """
     if slit not in (1, 2):
@@ -249,11 +257,22 @@ def pattern_terms(state: CompositeState, x) -> tuple[np.ndarray, np.ndarray]:
     cross = overlap_product * conj(psi1) * psi2, both evaluated on x and
     excluding the branches' extra phases. Every pattern in this module is
     affine in the extra-phase factor: base + 2 Re(cross * e^{i dphase}).
+
+    On a read-only x, such as a run's sampling grid, whose branch waves
+    are the two _kept holds, base is the memo's "base" kind, read-only:
+    a sweep that leaves geometry and beam alone sums it once. Any other
+    x, a caller's writable array or a scalar, gets a fresh base and
+    leaves the memo without one.
     """
     b1, b2 = state.branches
     psi1 = np.asarray(b1.com_amplitude(x))
     psi2 = np.asarray(b2.com_amplitude(x))
-    base = np.abs(psi1) ** 2 + np.abs(psi2) ** 2
+    if (isinstance(x, np.ndarray) and not x.flags.writeable
+            and _kept.get(("wave", 1), (None, None))[1] is psi1 and _kept.get(("wave", 2), (None, None))[1] is psi2):
+        # the ids name the held waves, as a new wave drops this kind (_keep)
+        base = _keep("base", (id(psi1), id(psi2)), lambda: np.abs(psi1) ** 2 + np.abs(psi2) ** 2)
+    else:
+        base = np.abs(psi1) ** 2 + np.abs(psi2) ** 2
     cross = state.overlap_product() * np.conj(psi1) * psi2
     return base, cross
 

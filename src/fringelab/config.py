@@ -188,6 +188,11 @@ def _weak_screen(get):
     return lambda c: None if c.weak_screen is None else get(c.weak_screen)
 
 
+def _noise(field: str, *distributions: str):
+    """Getter of a noise parameter; None unless the distribution in force reads it."""
+    return lambda c: getattr(c.noise, field) if c.noise.distribution in distributions else None
+
+
 def _operator(get, mode: Optional[str] = None):
     """Getter of a measurement field; None without an operator or in another mode."""
     return lambda c: None if c.measurement is None or mode not in (None, c.measurement.mode) else get(c.measurement)
@@ -195,18 +200,19 @@ def _operator(get, mode: Optional[str] = None):
 
 #: The config format, one row per key in canonical order: key -> (value
 #: parser, getter). The getter reads the key's value from a config; None
-#: means the key does not apply to that config's scenario or measurement
-#: mode. Value ranges are the dataclasses' checks, not the table's.
+#: means the key does not apply to that config's scenario, measurement
+#: mode or noise distribution. Value ranges are the dataclasses' checks,
+#: not the table's.
 _SCHEMA = {
     "scenario": (str, attrgetter("scenario")),
     "beam.wavelength": (float, attrgetter("beam.wavelength")),
     "beam.amplitude": (_parse_complex, attrgetter("beam.amplitude")),
     "noise.distribution": (str, attrgetter("noise.distribution")),
-    "noise.independent_per_branch": (_parse_bool, attrgetter("noise.independent_per_branch")),
-    "noise.value": (float, attrgetter("noise.value")),
-    "noise.low": (float, attrgetter("noise.low")),
-    "noise.high": (float, attrgetter("noise.high")),
-    "noise.sigma": (float, attrgetter("noise.sigma")),
+    "noise.independent_per_branch": (_parse_bool, _noise("independent_per_branch", "uniform", "gaussian")),
+    "noise.value": (float, _noise("value", "constant")),
+    "noise.low": (float, _noise("low", "uniform")),
+    "noise.high": (float, _noise("high", "uniform")),
+    "noise.sigma": (float, _noise("sigma", "gaussian")),
     "internal_overlap": (float, attrgetter("internal_overlap")),
     "internal_overlap_phase": (float, attrgetter("internal_overlap_phase")),
     "detector_overlap": (float, attrgetter("detector_overlap")),
@@ -414,8 +420,11 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Exper
         raise ConfigError(str(exc), _blamed_line(entries, values, preset)) from exc
     for key, (lineno, _) in entries.items():
         if _SCHEMA[key][1](config) is None:
-            mode = f"= {config.measurement.mode}" if config.measurement else "unset"
-            where = f" with measurement.mode {mode}" if key.startswith("measurement.") else ""
+            where = ""
+            if key.startswith("measurement."):
+                where = " with measurement.mode " + (f"= {config.measurement.mode}" if config.measurement else "unset")
+            elif key.startswith("noise."):
+                where = f" with noise.distribution = {config.noise.distribution}"
             raise ConfigError(f"key {key!r} is not valid for scenario {scenario}{where}", lineno)
     _kept = (text, text_entries, parsed)
     return config

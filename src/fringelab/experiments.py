@@ -119,8 +119,12 @@ def fringe_window(config: ExperimentConfig) -> tuple[int, tuple[float, float]] |
 
 
 def _screen_grid(config: ExperimentConfig) -> np.ndarray:
+    """The run's sampling grid across the screen, read-only, so that
+    pattern_terms may hold its baseline (composite._kept)."""
     grid = config.geometry.screen_grid
-    return sampling_grid(grid.x_min, grid.x_max, SAMPLING_CELLS)
+    x = sampling_grid(grid.x_min, grid.x_max, SAMPLING_CELLS)
+    x.flags.writeable = False
+    return x
 
 
 def _block_sizes(n: int):

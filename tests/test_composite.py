@@ -458,3 +458,77 @@ def test_one_copy_of_the_grid_bytes_is_kept(counted_phases):
     flat.branch1.com_amplitude(_grid())
     flat.branch2.com_amplitude(_grid())
     assert composite._kept["wave", 1][0][-1] is composite._kept["wave", 2][0][-1]
+
+
+def _read_only_grid():
+    x = _grid()
+    x.flags.writeable = False
+    return x
+
+
+def _cold_terms(state, x):
+    """pattern_terms of state on x from an empty memo, which it leaves empty."""
+    held = dict(composite._kept)
+    _cold()
+    base, cross = pattern_terms(state, x)
+    composite._kept.clear()
+    composite._kept.update(held)
+    return base, cross
+
+
+def test_the_baseline_of_the_held_waves_is_summed_once(counted_phases, monkeypatch):
+    x = _read_only_grid()
+    squared = []
+    absolute = np.abs
+    monkeypatch.setattr(composite.np, "abs", lambda a: squared.append(a) or absolute(a))
+    base, _ = pattern_terms(two_slit_composite(GEO, BEAM), x)
+    assert len(squared) == 2
+    for state in (two_slit_composite(GEO, BEAM, detector=overlap_pair(0.3)),
+                  two_slit_composite(GEO, BEAM, internal=overlap_pair(0.5))):
+        assert pattern_terms(state, _read_only_grid())[0] is base  # same waves, new closures and grid copy
+    assert len(squared) == 2
+    assert len(counted_phases) == 2
+    assert not base.flags.writeable
+    held_key, held = composite._kept["base"]
+    assert held is base
+    assert held_key == (id(composite._kept["wave", 1][1]), id(composite._kept["wave", 2][1]))
+    monkeypatch.setattr(composite.np, "abs", absolute)
+    assert base.tobytes() == _cold_terms(two_slit_composite(GEO, BEAM), x)[0].tobytes()
+
+
+@pytest.mark.parametrize("x", [_grid, lambda: 0.0, lambda: 3e-7, lambda: list(_grid())],
+                         ids=["writable array", "zero", "scalar", "list"])
+def test_a_callers_writable_array_or_scalar_keeps_no_baseline(counted_phases, x):
+    state = two_slit_composite(GEO, BEAM)
+    base, _ = pattern_terms(state, x())
+    assert "base" not in composite._kept
+    assert np.asarray(base).flags.writeable
+    again, _ = pattern_terms(state, x())
+    assert again is not base
+    assert "base" not in composite._kept
+
+
+def test_a_new_wave_drops_the_held_baseline(counted_phases):
+    x = _read_only_grid()
+    pattern_terms(two_slit_composite(GEO, BEAM), x)
+    assert "base" in composite._kept
+    for slit in (2, 1):  # either slit's new wave drops it
+        slit_branch_amplitude(replace(GEO, slit_amplitudes=(0.5, 1.0)), BEAM, slit)(x)
+        assert "base" not in composite._kept
+        pattern_terms(two_slit_composite(GEO, BEAM), x)
+        assert "base" in composite._kept
+    wide = two_slit_composite(replace(GEO, slit_width=3e-6), BEAM)
+    base, _ = pattern_terms(wide, x)
+    assert composite._kept["base"][1] is base
+    assert base.tobytes() == _cold_terms(wide, x)[0].tobytes()
+
+
+def test_other_waves_than_the_held_ones_get_a_fresh_baseline(counted_phases):
+    x = _read_only_grid()
+    held, _ = pattern_terms(two_slit_composite(GEO, BEAM), x)
+    flat = two_slit_composite(GEO, BEAM, include_envelope=False)
+    own = CompositeState((flat.branch1, replace(flat.branch2, com_amplitude=lambda x: np.ones(np.shape(x)))))
+    base, _ = pattern_terms(own, x)  # wave 2 is the caller's own: nothing held serves it
+    assert base is not held
+    assert "base" not in composite._kept
+    assert base.tobytes() == (np.abs(flat.branch1.com_amplitude(x)) ** 2 + 1.0).tobytes()

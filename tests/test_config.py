@@ -251,6 +251,54 @@ def test_a_rejection_cites_the_blamed_key(lines, blamed, message):
         parse_config("\n".join(lines) + "\n")
 
 
+#: The noise parameters in the format's order, and the distributions that read each.
+_NOISE_READERS = {
+    "noise.independent_per_branch": ("uniform", "gaussian"),
+    "noise.value": ("constant",),
+    "noise.low": ("uniform",),
+    "noise.high": ("uniform",),
+    "noise.sigma": ("gaussian",),
+}
+_NOISE_VALUES = {"noise.value": "0.5", "noise.low": "0.1", "noise.high": "2.0", "noise.sigma": "0.3",
+                 "noise.independent_per_branch": "false"}
+
+
+@pytest.mark.parametrize("distribution", ("none", "constant", "uniform", "gaussian"))
+@pytest.mark.parametrize("key", _NOISE_READERS)
+def test_a_noise_key_applies_only_where_its_distribution_reads_it(distribution, key):
+    text = f"scenario = young_baseline\nnoise.distribution = {distribution}\n{key} = {_NOISE_VALUES[key]}\n"
+    if distribution not in _NOISE_READERS[key]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (f"line 3: key {key!r} is not valid for scenario young_baseline "
+                                  f"with noise.distribution = {distribution}")
+        # set by an override, the key cites no line
+        with pytest.raises(ConfigError, match=rf"^key {re.escape(repr(key))} is not valid"):
+            parse_config(f"scenario = young_baseline\nnoise.distribution = {distribution}\n",
+                         overrides={key: _NOISE_VALUES[key]})
+        return
+    config = parse_config(text)
+    assert _SCHEMA[key][0](_NOISE_VALUES[key]) == _SCHEMA[key][1](config)
+    assert f"\n{key} = " in serialize_config(config)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_serializes_only_the_noise_keys_its_distribution_reads(name):
+    config = build_preset(name)
+    written = [line.partition(" = ")[0] for line in serialize_config(config).splitlines()]
+    noise = [key for key in written if key.startswith("noise.")]
+    assert noise == ["noise.distribution"] + [key for key in _NOISE_READERS
+                                              if config.noise.distribution in _NOISE_READERS[key]]
+    assert noise == (["noise.distribution", "noise.independent_per_branch", "noise.low", "noise.high"]
+                     if name == "young_random_phase" else ["noise.distribution"])
+
+
+def test_a_noise_key_an_interferometer_scenario_cannot_read_is_refused():
+    with pytest.raises(ConfigError, match=r"^line 2: key 'noise.sigma' is not valid for scenario mz_with_bs2 "
+                                          r"with noise.distribution = none$"):
+        parse_config("scenario = mz_with_bs2\nnoise.sigma = 0.0\n")
+
+
 def test_a_rejection_no_one_key_causes_has_no_line():
     # two bad keys: reverting either one alone still leaves the other
     text = "scenario = young_baseline\nbeam.wavelength = 0\ndetector_overlap = 2\n"

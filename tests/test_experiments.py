@@ -374,20 +374,74 @@ def test_the_cache_holds_one_geometry(counted_phases):
     assert [composite._kept["wave", slit][0][0] for slit in (1, 2)] == [config.geometry, config.geometry]
 
 
-_KINDS = {("wave", 1), ("wave", 2), ("phasor", 1), ("phasor", 2), "envelope"}
+_KINDS = {("wave", 1), ("wave", 2), ("phasor", 1), ("phasor", 2), "envelope", "base"}
+
+#: The memo's bound on the 4096-cell sampling grid: two complex waves, two
+#: complex phasors with their phases' bytes, the envelope, the baseline and
+#: one copy of the grid's bytes.
+_MEMO_BYTES = 416 * 1024
+
+
+def _held_bytes() -> int:
+    """Bytes of the distinct arrays and bytes objects the memo holds, keys included."""
+    seen, total, stack = set(), 0, [held for held in composite._kept.values()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif isinstance(item, (bytes, np.ndarray)) and id(item) not in seen:
+            seen.add(id(item))
+            total += item.nbytes if isinstance(item, np.ndarray) else len(item)
+    return total
 
 
 def test_the_memo_stays_bounded_over_every_preset_and_two_slit_sweeps(counted_phases):
+    kinds, peak = set(), 0
+
+    def run(config):
+        nonlocal peak
+        run_experiment(config, 50, seed=1)
+        kinds.update(composite._kept)
+        peak = max(peak, _held_bytes())
+
     for name in PRESET_NAMES:
-        run_experiment(build_preset(name), 50, seed=1)
-    text = serialize_config(build_preset("eraser_modulation"))
-    for key, values in (("geometry.slit_width", (1e-6, 2e-6, 3e-6)), ("geometry.slit_amplitude1", (0.25, 0.5, 1j))):
+        run(build_preset(name))
+    for preset, key, values in (("eraser_modulation", "geometry.slit_width", (1e-6, 2e-6, 3e-6)),
+                                ("eraser_modulation", "geometry.slit_amplitude1", (0.25, 0.5, 1j)),
+                                ("young_baseline", "detector_overlap", (0.0, 0.5, 1.0)),
+                                ("young_random_phase", "noise.high", (0.5, 3.0, 6.0))):
+        text = serialize_config(build_preset(preset))
         for value in values:
-            run_experiment(parse_config(text, overrides={key: repr(value)}), 50, seed=1)
-    assert set(composite._kept) <= _KINDS
+            run(parse_config(text, overrides={key: repr(value)}))
+    assert kinds == _KINDS
+    assert peak == _MEMO_BYTES  # every kind held at once, each at its full size
     grid_keys = [held[0] for kind, held in composite._kept.items() if kind == "envelope" or kind[0] == "wave"]
     assert len(grid_keys) == 3
     assert len({id(key[-1][-1]) for key in grid_keys}) == 1  # one bytes object for x
+    assert composite._kept["base"][0] == (id(composite._kept["wave", 1][1]), id(composite._kept["wave", 2][1]))
+
+
+def test_interleaved_sweeps_profile_as_a_cold_memo_does(counted_phases):
+    text = serialize_config(build_preset("young_baseline"))
+    steps = []
+    for i, (overlap, width, x_min) in enumerate(zip((0.0, 0.25, 0.5, 0.75), (1e-6, 2e-6, 2e-6, 3e-6),
+                                                    (-0.15, -0.1, -0.15, -0.1))):
+        steps += [{"detector_overlap": overlap}, {"geometry.slit_width": width}, {"detector_overlap": 1 - overlap},
+                  {"geometry.screen_x_min": x_min}]
+    configs = [parse_config(text, overrides={key: repr(value) for key, value in step.items()}) for step in steps]
+    cold = []
+    for config in configs:
+        composite._kept.clear()
+        cold.append(pattern_profile(config, experiments._screen_grid(config)).tobytes())
+    composite._kept.clear()
+    served = 0
+    for config, expected in zip(configs, cold):
+        held = composite._kept.get("base", (None, None))[1]
+        assert pattern_profile(config, experiments._screen_grid(config)).tobytes() == expected
+        served += composite._kept["base"][1] is held
+        assert composite._kept["base"][0] == (id(composite._kept["wave", 1][1]), id(composite._kept["wave", 2][1]))
+    # a step whose geometry equals the last step's keeps its waves and their baseline
+    assert served == sum(a.geometry == b.geometry for a, b in zip(configs, configs[1:])) == 8
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

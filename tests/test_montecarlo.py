@@ -376,3 +376,40 @@ def test_samples_stay_within_half_cell_of_the_grid():
     draws = sample_positions(grid, np.ones(16), RngStream(3, 0).generator(), 2_000)
     assert np.all(draws >= grid[0] - width / 2.0)
     assert np.all(draws <= grid[-1] + width / 2.0)
+
+
+_NAN, _INF, _BIG = float("nan"), float("inf"), 1e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, _NAN, 1.0], "profile values must be finite"),
+    ([_NAN, -1.0, 1.0], "profile values must be finite"),
+    ([-1.0, _NAN, 1.0], "profile values must be finite"),
+    ([1.0, _INF, 1.0], "profile values must be finite"),
+    ([1.0, -_INF, 1.0], "profile values must be finite"),
+    ([_INF, -_INF], "profile values must be finite"),
+    ([1.0, -1.0, 1.0], "profile values must be nonnegative"),
+    ([1.0, -0.0, -1e-300], "profile values must be nonnegative"),
+    ([0.0, 0.0, 0.0], "profile must have at least one positive value"),
+    ([0.0, -0.0], "profile must have at least one positive value"),
+    ([], "profile must be a nonempty 1-D array"),
+    ([[1.0, 1.0], [1.0, 1.0]], "profile must be a nonempty 1-D array"),
+    ([_BIG, _BIG, 1.0], "profile sum must be finite, got inf"),
+    ([1.0, _BIG, 0.0, _BIG], "profile sum must be finite, got inf"),
+], ids=["nan", "nan then negative", "negative then nan", "inf", "-inf", "inf and -inf", "negative",
+        "tiny negative", "zeros", "signed zeros", "empty", "2-D", "overflow", "overflow late"])
+def test_a_bad_profile_is_refused_with_its_message_and_no_warning(weights, message):
+    with pytest.raises(ValueError) as refused:
+        montecarlo._profile_cdf(weights)
+    assert str(refused.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights", [
+    [1.0], [0.0, 2.0, 0.0], [-0.0, 5e-324], [_BIG, 0.0, 0.0], [_BIG / 2, _BIG / 2],
+    np.linspace(0.0, 1.0, 4096),
+], ids=["one cell", "one positive cell", "a subnormal and a negative zero", "largest finite sum",
+        "two halves of it", "grid"])
+def test_a_good_profile_gives_its_running_sum(weights):
+    np.testing.assert_array_equal(montecarlo._profile_cdf(weights), np.cumsum(np.asarray(weights, dtype=float)))
