@@ -61,4 +61,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

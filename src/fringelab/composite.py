@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -298,7 +298,11 @@ class PhaseNoise:
     "gaussian" draws from a centered normal with width ``sigma``. With
     independent_per_branch each branch gets its own draw (branch 1 first);
     otherwise one shared draw shifts both, which cancels in every pattern.
+    A parameter its distribution does not read (PARAMETERS) keeps its default.
     """
+
+    PARAMETERS = {"none": (), "constant": ("value",), "uniform": ("independent_per_branch", "low", "high"),
+                  "gaussian": ("independent_per_branch", "sigma")}
 
     distribution: str = "none"
     independent_per_branch: bool = True
@@ -308,10 +312,13 @@ class PhaseNoise:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.distribution not in ("none", "constant", "uniform", "gaussian"):
+        if self.distribution not in self.PARAMETERS:
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
-        for v in (self.value, self.low, self.high, self.sigma):
-            if not math.isfinite(v):
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in self.PARAMETERS[self.distribution] and value != f.default:
+                raise ValueError(f"noise {f.name} is not read by distribution {self.distribution!r}, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError("noise parameters must be finite")
         if self.distribution == "uniform" and not self.low < self.high:
             raise ValueError(f"uniform noise requires low < high, got [{self.low}, {self.high})")

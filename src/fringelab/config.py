@@ -42,11 +42,6 @@ _SHARED = {
     "beam.wavelength": 500e-9,
     "beam.amplitude": 1.0,
     "noise.distribution": "none",
-    "noise.independent_per_branch": True,
-    "noise.value": 0.0,
-    "noise.low": 0.0,
-    "noise.high": TWO_PI,
-    "noise.sigma": 0.0,
     "internal_overlap": 1.0,
     "internal_overlap_phase": 0.0,
     "detector_overlap": 1.0,
@@ -188,9 +183,9 @@ def _weak_screen(get):
     return lambda c: None if c.weak_screen is None else get(c.weak_screen)
 
 
-def _noise(field: str, *distributions: str):
+def _noise(field: str):
     """Getter of a noise parameter; None unless the distribution in force reads it."""
-    return lambda c: getattr(c.noise, field) if c.noise.distribution in distributions else None
+    return lambda c: getattr(c.noise, field) if field in PhaseNoise.PARAMETERS[c.noise.distribution] else None
 
 
 def _operator(get, mode: Optional[str] = None):
@@ -208,11 +203,11 @@ _SCHEMA = {
     "beam.wavelength": (float, attrgetter("beam.wavelength")),
     "beam.amplitude": (_parse_complex, attrgetter("beam.amplitude")),
     "noise.distribution": (str, attrgetter("noise.distribution")),
-    "noise.independent_per_branch": (_parse_bool, _noise("independent_per_branch", "uniform", "gaussian")),
-    "noise.value": (float, _noise("value", "constant")),
-    "noise.low": (float, _noise("low", "uniform")),
-    "noise.high": (float, _noise("high", "uniform")),
-    "noise.sigma": (float, _noise("sigma", "gaussian")),
+    "noise.independent_per_branch": (_parse_bool, _noise("independent_per_branch")),
+    "noise.value": (float, _noise("value")),
+    "noise.low": (float, _noise("low")),
+    "noise.high": (float, _noise("high")),
+    "noise.sigma": (float, _noise("sigma")),
     "internal_overlap": (float, attrgetter("internal_overlap")),
     "internal_overlap_phase": (float, attrgetter("internal_overlap_phase")),
     "detector_overlap": (float, attrgetter("detector_overlap")),
@@ -262,7 +257,7 @@ def config_digest(config: ExperimentConfig) -> str:
 
 def _build(v: dict[str, object]) -> ExperimentConfig:
     """Construct the config dataclasses once from a complete value set."""
-    scenario = v["scenario"]
+    scenario, noise = v["scenario"], v["noise.distribution"]
     try:
         if scenario in MZ_SCENARIOS:
             geometry: Union[TwoSlitGeometry, MZGeometry] = MZGeometry(
@@ -298,14 +293,8 @@ def _build(v: dict[str, object]) -> ExperimentConfig:
             scenario=scenario,
             beam=BeamSpec(wavelength=v["beam.wavelength"], amplitude=v["beam.amplitude"]),
             geometry=geometry,
-            noise=PhaseNoise(
-                distribution=v["noise.distribution"],
-                independent_per_branch=v["noise.independent_per_branch"],
-                value=v["noise.value"],
-                low=v["noise.low"],
-                high=v["noise.high"],
-                sigma=v["noise.sigma"],
-            ),
+            # only the parameters the distribution reads: parse_config refuses any other key by its line
+            noise=PhaseNoise(noise, **{f: v[k] for f in PhaseNoise.PARAMETERS.get(noise, ()) if (k := f"noise.{f}") in v}),
             internal_overlap=v["internal_overlap"],
             internal_overlap_phase=v["internal_overlap_phase"],
             detector_overlap=v["detector_overlap"],

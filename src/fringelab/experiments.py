@@ -65,10 +65,7 @@ def composite_from_config(config: ExperimentConfig, include_envelope: bool = Tru
         raise ValueError(f"scenario {config.scenario} has no two-slit composite state")
     internal = overlap_pair(config.internal_overlap, config.internal_overlap_phase)
     detector = overlap_pair(config.detector_overlap, config.detector_overlap_phase)
-    return two_slit_composite(
-        config.geometry, config.beam, internal, detector,
-        include_envelope,
-    )
+    return two_slit_composite(config.geometry, config.beam, internal, detector, include_envelope)
 
 
 def pattern_profile(config: ExperimentConfig, x, include_envelope: bool = True) -> np.ndarray:

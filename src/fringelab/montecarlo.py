@@ -9,13 +9,14 @@ partitioned across streams and merged deterministically.
 
 An EventLog holds one EventColumns, joined from a run's blocks or a
 file's chunks by EventColumns.join (a lone block as it is), checked once
-by EventColumns.check(); its records are built on first read, and rows
-with equal cavity counts share one WhichWayRecord across every log.
+by EventColumns.check(); its records are built on first read, in one
+loop with the collector paused, sharing one WhichWayRecord per count pair.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
@@ -70,17 +71,6 @@ class DetectionEvent:
     whichway: Optional["WhichWayRecord"] = None
     scatter_xy: Optional[tuple[float, float]] = None
     stream_id: int = 0
-
-
-# The slots' own setters, for _records: they bypass the frozen
-# __setattr__, as the generated __init__ does through object.__setattr__.
-_set_event_id = DetectionEvent.event_id.__set__
-_set_experiment = DetectionEvent.experiment.__set__
-_set_screen_x = DetectionEvent.screen_x.__set__
-_set_mz_port = DetectionEvent.mz_port.__set__
-_set_whichway = DetectionEvent.whichway.__set__
-_set_scatter_xy = DetectionEvent.scatter_xy.__set__
-_set_stream_id = DetectionEvent.stream_id.__set__
 
 
 def _frozen_setattr(self, name: str, value) -> None:
@@ -219,28 +209,45 @@ def _whichway_records() -> tuple:
     return tuple(table)
 
 
+class _Row:
+    """DetectionEvent's slots alone, stored plainly without its frozen __setattr__ (see _records)."""
+
+    __slots__ = DetectionEvent.__slots__
+
+
 def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
-    """The rows of checked columns c as DetectionEvents, one field at a
-    time, each field from one take over its column: ids are the row
-    numbers, and equal cavity counts share one WhichWayRecord. Presence
-    is tested with np.count_nonzero, as in EventColumns.check()."""
+    """The rows of checked columns c as DetectionEvents: ids are the row
+    numbers, ports and which-way records one take each (equal counts share
+    one WhichWayRecord), and one loop fills each row as a _Row, then
+    retypes it, with the collector paused: records form no cycle to free."""
     n, port, c1, none = c.experiment.size, c.mz_port, c.cavity1_photons, repeat(None)
     screen, scattered = ~np.isnan(c.screen_x), ~np.isnan(c.scatter_x)
-    whichway = none
-    if np.count_nonzero(c1 >= 0):
-        whichway = np.array(_whichway_records(), dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
-    events = list(map(object.__new__, repeat(DetectionEvent, n)))
-    for set_field, values in (
-        (_set_event_id, range(n)),
-        (_set_experiment, c.experiment.tolist()),
-        (_set_screen_x, none if not np.count_nonzero(screen) else _spread(screen, c.screen_x[screen].tolist())),
-        (_set_mz_port, _PORTS_OR_NONE[port].tolist() if np.count_nonzero(port >= 0) else none),
-        (_set_whichway, whichway),
-        (_set_scatter_xy, none if not np.count_nonzero(scattered) else _spread(scattered, list(zip(
-            c.scatter_x[scattered].tolist(), c.scatter_y[scattered].tolist())))),
-        (_set_stream_id, c.stream_id.tolist()),
-    ):
-        deque(map(set_field, events, values), maxlen=0)
+    enabled, events, new = gc.isenabled(), [], object.__new__
+    gc.disable()
+    try:
+        for i, experiment, screen_x, mz_port, record, scatter_xy, stream_id in zip(
+            range(n), c.experiment.tolist(),
+            none if not np.count_nonzero(screen) else _spread(screen, c.screen_x[screen].tolist()),
+            _PORTS_OR_NONE[port].tolist() if np.count_nonzero(port >= 0) else none,
+            np.array(_whichway_records(), dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
+            if np.count_nonzero(c1 >= 0) else none,
+            none if not np.count_nonzero(scattered) else _spread(scattered, list(zip(
+                c.scatter_x[scattered].tolist(), c.scatter_y[scattered].tolist()))),
+            c.stream_id.tolist(),
+        ):
+            e = new(_Row)
+            e.event_id = i
+            e.experiment = experiment
+            e.screen_x = screen_x
+            e.mz_port = mz_port
+            e.whichway = record
+            e.scatter_xy = scatter_xy
+            e.stream_id = stream_id
+            e.__class__ = DetectionEvent
+            events.append(e)
+    finally:
+        if enabled:
+            gc.enable()
     return tuple(events)
 
 

@@ -1,12 +1,14 @@
 """Presets, the key = value config format, validation, and digests."""
 
 import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fringelab import config as config_module
+from fringelab.composite import PhaseNoise
 from fringelab.config import (
     _SCHEMA,
     CAVITY_SCENARIOS,
@@ -297,6 +299,46 @@ def test_a_noise_key_an_interferometer_scenario_cannot_read_is_refused():
     with pytest.raises(ConfigError, match=r"^line 2: key 'noise.sigma' is not valid for scenario mz_with_bs2 "
                                           r"with noise.distribution = none$"):
         parse_config("scenario = mz_with_bs2\nnoise.sigma = 0.0\n")
+
+
+@pytest.mark.parametrize("distribution", ("none", "constant", "uniform", "gaussian"))
+@pytest.mark.parametrize("key", _NOISE_READERS)
+def test_phase_noise_refuses_a_parameter_its_distribution_does_not_read(distribution, key):
+    # the rules parse_config applies to the noise keys of a file, on the dataclass
+    field, value = key.partition(".")[2], _SCHEMA[key][0](_NOISE_VALUES[key])
+    if distribution in _NOISE_READERS[key]:
+        assert getattr(PhaseNoise(distribution, **{field: value}), field) == value
+        return
+    with pytest.raises(ValueError, match=rf"^noise {field} is not read by distribution '{distribution}', "
+                                         rf"got {re.escape(repr(value))}$"):
+        PhaseNoise(distribution, **{field: value})
+
+
+def test_a_config_cannot_hold_a_noise_parameter_it_would_not_serialize():
+    with pytest.raises(ValueError, match="^noise sigma is not read by distribution 'none', got 1.0$"):
+        replace(build_preset("young_baseline"), noise=PhaseNoise("none", sigma=1.0))
+
+
+#: The presets whose configs take phase noise: two-slit benches without cavities.
+_NOISY_PRESETS = [name for name in PRESET_NAMES if name not in MZ_SCENARIOS + CAVITY_SCENARIOS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(preset=st.sampled_from(_NOISY_PRESETS), distribution=st.sampled_from(("none", "constant", "uniform", "gaussian")),
+       data=st.data())
+def test_every_phase_noise_that_constructs_round_trips_in_a_preset(preset, distribution, data):
+    # each parameter at its default or an in-range value; only an unread one off its default is refused
+    defaults = {f.name: f.default for f in fields(PhaseNoise)[1:]}
+    params = {name: data.draw(st.just(default) | KEY_VALUES[f"noise.{name}"], label=name)
+              for name, default in defaults.items()}
+    if any(v != defaults[name] and distribution not in _NOISE_READERS[f"noise.{name}"] for name, v in params.items()):
+        with pytest.raises(ValueError, match="is not read by distribution"):
+            PhaseNoise(distribution, **params)
+        return
+    config = replace(build_preset(preset), noise=PhaseNoise(distribution, **params))
+    text = serialize_config(config)
+    assert parse_config(text) == config
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_a_rejection_no_one_key_causes_has_no_line():

@@ -1,6 +1,7 @@
 """Random streams, the event log and its records, and inverse-CDF position sampling."""
 
 import dataclasses
+import gc
 import itertools
 import re
 
@@ -162,6 +163,7 @@ def test_bulk_built_records_equal_one_by_one_records(preset, n_streams):
     assert log._columns is not None and log._events is not None  # both kept
     expected = one_by_one(log._columns)
     assert log.events == expected
+    assert all(type(e) is DetectionEvent for e in log.events)  # no _Row is left
     assert [hash(e) for e in log.events] == [hash(e) for e in expected]
     assert [repr(e) for e in log.events] == [repr(e) for e in expected]
     # one shared WhichWayRecord per cavity pair, placed as the rebuild places them
@@ -174,6 +176,50 @@ def test_bulk_built_records_equal_one_by_one_records(preset, n_streams):
         for f in dataclasses.fields(DetectionEvent):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(event, f.name, getattr(event, f.name))
+
+
+def test_the_record_builder_fills_every_event_slot():
+    # a field added to DetectionEvent is a slot of _Row, which _records must then fill
+    assert montecarlo._Row.__slots__ == DetectionEvent.__slots__
+    assert {"__init__", "__setattr__", "__delattr__"}.isdisjoint(vars(montecarlo._Row))
+    assert DetectionEvent.__slots__ == tuple(f.name for f in dataclasses.fields(DetectionEvent))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_building_records_leaves_the_collector_as_it_was(monkeypatch, enabled):
+    logs = [run_experiment(build_preset("young_baseline"), 300, seed=2, records=False) for _ in range(2)]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(logs[0].events) == 300
+        assert gc.isenabled() is enabled
+
+        def broken(present, values):
+            raise RuntimeError("spread failed")
+
+        monkeypatch.setattr(montecarlo, "_spread", broken)
+        with pytest.raises(RuntimeError, match="spread failed"):
+            logs[1].events
+        assert gc.isenabled() is enabled
+        assert logs[1]._events is None
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_records_leave_no_cyclic_garbage():
+    # the premise of pausing the collector while records are built: they form no cycle it could free
+    logs = [run_experiment(build_preset(preset), 500, seed=6, n_streams=2, records=False) for preset in PRESET_NAMES]
+    logs.append(run_experiment(parse_config(_ABSORBING), 500, seed=6, records=False))
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(len(log.events) for log in logs) == sum(map(len, logs))
+        del logs
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n_streams", [1, 3])
