@@ -16,12 +16,14 @@ Per-event uniforms by scenario family:
   leave no record, so those runs can log fewer events than particles.
 
 Each stream is drawn in blocks of PARTICLE_BLOCK particles, from
-sampling state computed once per run, and event_blocks yields each
-block's events as numpy columns. The command line's simulate hands each
-block to the CSV writer as it is drawn, so its memory does not grow with
-the run; run_experiment joins the blocks into one EventLog, whose
-constructor checks them once, and then builds the log's records in one
-bulk pass, unless the caller asks for the columns alone. A run of one
+sampling state computed once per run, or taken from the last run when
+that run was on the same config object, as the runs of a seed ensemble
+are; event_blocks yields each block's events as numpy columns. The
+command line's simulate hands each block to the CSV writer as it is
+drawn, so its memory does not grow with the run; run_experiment joins
+the blocks into one EventLog, whose constructor checks them once, and
+then builds the log's records in one bulk pass, unless the caller asks
+for the columns alone. A run of one
 block keeps that block's arrays, unconcatenated (EventColumns.join). A
 block's draws continue its stream where the last block stopped, so the
 blocks hold the events one draw for the whole stream would. Weak-screen
@@ -36,6 +38,7 @@ oracles in the test suite's tests/oracles.py.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import Optional
 
 import numpy as np
 
@@ -132,6 +135,7 @@ def _block_sizes(n: int):
 def _screen_blocks(config: ExperimentConfig):
     grid = _screen_grid(config)
     profile = pattern_profile(config, grid)
+    profile.flags.writeable = False
     return lambda rng, n: ((k, {"screen_x": sample_positions(grid, profile, rng, k)}) for k in _block_sizes(n))
 
 
@@ -152,6 +156,7 @@ def _tagged_blocks(config: ExperimentConfig):
         cdf1 = cdf2 = _profile_cdf(pattern_profile(config, grid))
     else:
         cdf1, cdf2 = (_profile_cdf(_slit_profile(config, slit, grid)) for slit in (1, 2))
+    cdf1.flags.writeable = cdf2.flags.writeable = False
 
     def fields(draws: np.ndarray) -> dict:
         through1 = draws[:, 0] < p1
@@ -194,6 +199,7 @@ def _weak_screen_blocks(config: ExperimentConfig):
     mz, beam, screen = config.geometry, config.beam, config.weak_screen
     positions, weights = midline_profile(mz, beam, SAMPLING_CELLS)
     cdf = _profile_cdf(weights)
+    positions.flags.writeable = cdf.flags.writeable = False
     px = _port_x_fraction(config)
     transmit_below = screen.scatter_fraction + screen.transmittance
     midline_y = mz.crossing_region.midline_y
@@ -206,11 +212,13 @@ def _weak_screen_blocks(config: ExperimentConfig):
             # jump[i]: where the particle after one starting at uniform i starts (u.size
             # maps to itself); each pass doubles the starts found and the particles jump skips
             jump = np.append(np.minimum(np.arange(u.size) + strides, u.size), u.size)
-            starts = np.zeros(1, dtype=jump.dtype)
-            while starts.size < block:
-                starts = np.append(starts, jump[starts])
-                jump = jump[jump]
-            starts = starts[:block]
+            starts, found = np.zeros(block, dtype=jump.dtype), 1
+            while found < block:
+                more = min(found, block - found)
+                starts[found:found + more] = jump[starts[:more]]
+                found += more
+                if found < block:
+                    jump = jump[jump]
             carried = u[starts[-1] + strides[starts[-1]]:]
             starts = starts[strides[starts] > 1]  # absorbed particles leave no record
             kinds = strides[starts]
@@ -223,17 +231,37 @@ def _weak_screen_blocks(config: ExperimentConfig):
     return blocks
 
 
+#: The last run's (config, sampling state), rebound whole by _stream_blocks.
+_kept: Optional[tuple] = None
+
+
 def _stream_blocks(config: ExperimentConfig):
-    """The run's sampling state, computed once from the config, as a
-    function from one stream's generator and particle count to that
-    stream's blocks: (rows, terminal fields) per PARTICLE_BLOCK particles."""
+    """The run's sampling state, computed from the config, as a function
+    from one stream's generator and particle count to that stream's
+    blocks: (rows, terminal fields) per PARTICLE_BLOCK particles.
+
+    The state of the last run is kept (_kept) and serves the next run on
+    the same config object, as the runs of a seed ensemble are. The key
+    is the object itself, not ==, which takes -0.0 for 0.0 in an
+    amplitude; a config is frozen, and the kept one stays alive, so its
+    object still describes the state it was kept with. The kept arrays
+    are read-only. A state that fails to build leaves the kept one as it
+    was; a plain screen profile is checked as each block is drawn, so a
+    screen config refused there is refused again from its kept state."""
+    global _kept
+    kept = _kept
+    if kept is not None and kept[0] is config:
+        return kept[1]
     if config.scenario == "mz_weak_screen":
-        return _weak_screen_blocks(config)
-    if config.scenario in MZ_SCENARIOS:
-        return _port_blocks(config)
-    if config.scenario in CAVITY_SCENARIOS:
-        return _tagged_blocks(config)
-    return _screen_blocks(config)
+        state = _weak_screen_blocks(config)
+    elif config.scenario in MZ_SCENARIOS:
+        state = _port_blocks(config)
+    elif config.scenario in CAVITY_SCENARIOS:
+        state = _tagged_blocks(config)
+    else:
+        state = _screen_blocks(config)
+    _kept = (config, state)
+    return state
 
 
 def _generate(config: ExperimentConfig, stream_id: int, n: int, fields: dict) -> tuple:
@@ -255,9 +283,10 @@ def event_blocks(config: ExperimentConfig, n_events: int, seed: int, n_streams: 
     draws from the generator keyed (seed, s), streams follow in order, and
     event i is the i-th row yielded. Only weak-screen blocks can hold
     fewer rows than particles, as absorbed particles leave none. The
-    sampling state is computed once, when the first block is drawn; a bad
-    argument or profile raises ValueError then. The caller's EventLog
-    checks the columns.
+    sampling state is computed when the first block is drawn, unless the
+    last run was on this config object and kept its state (_stream_blocks);
+    a bad argument or profile raises ValueError then. The caller's
+    EventLog checks the columns.
     """
     if n_events < 1:
         raise ValueError(f"n_events must be at least 1, got {n_events}")

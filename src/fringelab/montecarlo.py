@@ -209,24 +209,31 @@ def _whichway_records() -> tuple:
     return tuple(table)
 
 
-class _Row:
-    """DetectionEvent's slots alone, stored plainly without its frozen __setattr__ (see _records)."""
+class _Row(DetectionEvent):
+    """A DetectionEvent being filled (see _records): no slots of its own,
+    and object's __setattr__ and __delattr__ in place of the frozen ones,
+    so each store is a plain slot store."""
 
-    __slots__ = DetectionEvent.__slots__
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
     """The rows of checked columns c as DetectionEvents: ids are the row
     numbers, ports and which-way records one take each (equal counts share
-    one WhichWayRecord), and one loop fills each row as a _Row, then
-    retypes it, with the collector paused: records form no cycle to free."""
+    one WhichWayRecord). With the collector paused, as records form no
+    cycle to free, the rows are allocated as _Rows in one C-level pass;
+    one loop then fills each row and retypes it to its base, DetectionEvent,
+    a change of class that compares no slot layouts."""
     n, port, c1, none = c.experiment.size, c.mz_port, c.cavity1_photons, repeat(None)
     screen, scattered = ~np.isnan(c.screen_x), ~np.isnan(c.scatter_x)
-    enabled, events, new = gc.isenabled(), [], object.__new__
+    enabled = gc.isenabled()
     gc.disable()
     try:
-        for i, experiment, screen_x, mz_port, record, scatter_xy, stream_id in zip(
-            range(n), c.experiment.tolist(),
+        events = list(map(object.__new__, repeat(_Row, n)))
+        for e, i, experiment, screen_x, mz_port, record, scatter_xy, stream_id in zip(
+            events, range(n), c.experiment.tolist(),
             none if not np.count_nonzero(screen) else _spread(screen, c.screen_x[screen].tolist()),
             _PORTS_OR_NONE[port].tolist() if np.count_nonzero(port >= 0) else none,
             np.array(_whichway_records(), dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
@@ -235,7 +242,6 @@ def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
                 c.scatter_x[scattered].tolist(), c.scatter_y[scattered].tolist()))),
             c.stream_id.tolist(),
         ):
-            e = new(_Row)
             e.event_id = i
             e.experiment = experiment
             e.screen_x = screen_x
@@ -244,7 +250,6 @@ def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
             e.scatter_xy = scatter_xy
             e.stream_id = stream_id
             e.__class__ = DetectionEvent
-            events.append(e)
     finally:
         if enabled:
             gc.enable()

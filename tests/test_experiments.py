@@ -1,5 +1,7 @@
 """End-to-end event generation: shapes, determinism, draw accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import micromaser_record, sample_position, weak_screen_interact
@@ -200,7 +202,7 @@ def _bad_profile(case: str) -> np.ndarray:
     ("eraser_modulation", "pattern_profile"),  # tagged, measurement_mediated convention
     ("mz_weak_screen", "midline_profile"),  # weak screen
 ])
-def test_every_sampler_refuses_a_bad_profile_alike(monkeypatch, preset, source, case, message):
+def test_every_sampler_refuses_a_bad_profile_alike(monkeypatch, cold_sampling_state, preset, source, case, message):
     bad = _bad_profile(case)
     if source == "midline_profile":
         monkeypatch.setattr(experiments, source, lambda mz, beam, n_cells: (sampling_grid(0.0, 1.0, n_cells), bad))
@@ -445,11 +447,92 @@ def test_interleaved_sweeps_profile_as_a_cold_memo_does(counted_phases):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_cold_and_warm_wave_caches_log_the_same_events(counted_phases, name):
+def test_cold_and_warm_wave_caches_log_the_same_events(counted_phases, cold_sampling_state, name):
     config = build_preset(name)
     cold = run_experiment(config, 500, seed=11, n_streams=2)
     made = len(counted_phases)
+    experiments._kept = None  # the warm run builds its profile again, from the kept waves
     warm = run_experiment(config, 500, seed=11, n_streams=2)
     assert warm == cold
     assert len(counted_phases) == made  # the second run computed no wave
     assert made == (0 if name in MZ_SCENARIOS else 2)
+
+
+# --- the kept sampling state: a run on the config object of the last run
+# takes that run's state, and logs what a run with a cold memo logs ---
+
+
+def _column_bytes(log: EventLog) -> list:
+    return [c.tolist() if c.dtype == object else c.tobytes() for c in log._columns]
+
+
+def _run_bytes(config, seed: int, cold: bool = False) -> list:
+    if cold:
+        experiments._kept = None
+    return _column_bytes(run_experiment(config, 3000, seed, n_streams=2))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_runs_on_one_config_object_log_what_cold_runs_log(cold_sampling_state, name):
+    config = build_preset(name)
+    cold = [_run_bytes(config, seed, cold=True) for seed in (1, 2, 3)]
+    experiments._kept = None
+    warm, states = [], set()
+    for seed in (1, 2, 3):
+        warm.append(_run_bytes(config, seed))
+        assert experiments._kept[0] is config
+        states.add(id(experiments._kept[1]))
+    assert warm == cold
+    assert len(states) == 1  # the first run's state served the other two
+
+
+def test_interleaved_configs_log_what_cold_runs_log(cold_sampling_state):
+    a, b = build_preset("mz_weak_screen"), build_preset("young_micromaser")
+    cold = [_run_bytes(config, seed, cold=True) for config, seed in ((a, 4), (b, 5), (a, 6))]
+    experiments._kept = None
+    assert [_run_bytes(config, seed) for config, seed in ((a, 4), (b, 5), (a, 6))] == cold
+    assert experiments._kept[0] is a
+
+
+def test_an_equal_config_with_a_negative_zero_amplitude_builds_its_own_state(cold_sampling_state):
+    base = build_preset("young_baseline")
+    plus, minus = (dataclasses.replace(base, geometry=dataclasses.replace(base.geometry, slit_amplitudes=(1.0, zero)))
+                   for zero in (0j, complex(-0.0, 0.0)))
+    assert plus == minus  # == takes -0.0 for 0.0
+    cold = _run_bytes(minus, 7, cold=True)
+    _run_bytes(plus, 7, cold=True)
+    held = experiments._kept
+    assert _run_bytes(minus, 7) == cold
+    assert experiments._kept[0] is minus and experiments._kept[1] is not held[1]
+
+
+@pytest.mark.parametrize("refused", ["negative tagged signal", "nan midline"])
+def test_a_refused_config_leaves_the_kept_state_as_it_was(monkeypatch, cold_sampling_state, refused):
+    good = build_preset("mz_weak_screen")
+    cold = _run_bytes(good, 8, cold=True)
+    held = experiments._kept
+    if refused == "negative tagged signal":
+        bad = parse_config("scenario = eraser_modulation\nmeasurement.g12 = 2\nmeasurement.g21 = 2\n")
+    else:
+        bad = build_preset("mz_weak_screen")
+        monkeypatch.setattr(experiments, "midline_profile",
+                            lambda mz, beam, n_cells: (sampling_grid(0.0, 1.0, n_cells), _bad_profile("nan")))
+    with pytest.raises(ValueError, match="profile values must be"):
+        run_experiment(bad, 100, seed=1)
+    assert experiments._kept is held
+    assert _run_bytes(good, 8) == cold
+
+
+def _held_arrays(function) -> list:
+    """The arrays a function's closure holds, through the functions it holds."""
+    held = [cell.cell_contents for cell in function.__closure__ or ()]
+    return [a for a in held if isinstance(a, np.ndarray)] + [
+        a for f in held if callable(f) and hasattr(f, "__closure__") for a in _held_arrays(f)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_kept_arrays_are_read_only(cold_sampling_state, name):
+    run_experiment(build_preset(name), 10, seed=1)
+    arrays = _held_arrays(experiments._kept[1])
+    assert arrays or name in MZ_SCENARIOS  # a port state holds one fraction alone
+    assert not any(a.flags.writeable for a in arrays)
