@@ -40,11 +40,10 @@ from .experiments import composite_from_config, pattern_profile, run_experiment,
 from .measurement import (
     MeasurementOperator,
     WeakScreen,
-    WhichWayRecord,
     coincidence_modulate,
     measured_signal,
 )
-from .montecarlo import DetectionEvent, EventLog, RngStream, sample_positions, sampling_grid
+from .montecarlo import DetectionEvent, EventLog, RngStream, WhichWayRecord, sample_positions, sampling_grid
 from .wavefield import (
     BeamSpec,
     CrossingRegion,
@@ -61,4 +60,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"

@@ -198,7 +198,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         h = histogram(log, field, n_bins, value_range)
         v = visibility(h)
         d = overlap_distinguishability(config.detector_overlap)
-        lhs = v.value * v.value + d * d if v.present else None
+        # a measurement-mediated V is the restored signal's, which D from detector_overlap does not bound
+        lhs = v.value * v.value + d * d if v.present and config.pattern_convention == "literal" else None
         cells = [repr(value), repr(v.value) if v.present else "", repr(d), repr(lhs) if lhs is not None else ""]
         lines.append(",".join(cells))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

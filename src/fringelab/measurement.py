@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import FringeHistogram
 from .composite import CompositeState
-from .montecarlo import SAMPLING_CELLS, sampling_grid
+from .montecarlo import SAMPLING_CELLS, WhichWayRecord, sampling_grid  # WhichWayRecord: re-exported
 from .wavefield import BeamSpec, MZGeometry, TwoSlitGeometry, crossing_intensity, single_slit_intensity
 
 MEASUREMENT_MODES = ("center_of_mass", "internal")
@@ -133,28 +133,6 @@ def midline_profile(mz: MZGeometry, beam: BeamSpec, n_cells: int = SAMPLING_CELL
     positions = sampling_grid(region.x_min, region.x_max, n_cells)
     weights = np.asarray(crossing_intensity(mz, beam, positions, region.midline_y))
     return positions, weights
-
-
-@dataclass(frozen=True)
-class WhichWayRecord:
-    """Photon counts left in the path-tagging cavities by one particle:
-    one in the traversed slit's cavity, or none for an uncovered slit 2."""
-
-    cavity1_photons: int
-    cavity2_photons: int
-
-    def __post_init__(self) -> None:
-        for name, v in (("cavity1_photons", self.cavity1_photons), ("cavity2_photons", self.cavity2_photons)):
-            if v not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {v!r}")
-        if self.cavity1_photons + self.cavity2_photons > 1:
-            raise ValueError("at most one photon per particle")
-
-    @property
-    def inferred_path(self) -> int:
-        """Path the record certifies; zero photons tags path 2 when only
-        path 1 carries a cavity."""
-        return 1 if self.cavity1_photons == 1 else 2
 
 
 def eraser_singles(geometry: TwoSlitGeometry, beam: BeamSpec,

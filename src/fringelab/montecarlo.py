@@ -10,23 +10,20 @@ partitioned across streams and merged deterministically.
 An EventLog holds one EventColumns, joined from a run's blocks or a
 file's chunks by EventColumns.join (a lone block as it is), checked once
 by EventColumns.check(); its records are built on first read, in one
-loop with the collector paused, sharing one WhichWayRecord per count pair.
+loop with the collector paused, sharing one WhichWayRecord per count pair,
+made at import. Both record types live here: this module imports no sibling.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import math
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .measurement import WhichWayRecord
 
 MZ_PORTS = ("x", "y")
 
@@ -54,6 +51,28 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
 
 
+@dataclass(frozen=True)
+class WhichWayRecord:
+    """Photon counts left in the path-tagging cavities by one particle:
+    one in the traversed slit's cavity, or none for an uncovered slit 2."""
+
+    cavity1_photons: int
+    cavity2_photons: int
+
+    def __post_init__(self) -> None:
+        for name, v in (("cavity1_photons", self.cavity1_photons), ("cavity2_photons", self.cavity2_photons)):
+            if v not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1, got {v!r}")
+        if self.cavity1_photons + self.cavity2_photons > 1:
+            raise ValueError("at most one photon per particle")
+
+    @property
+    def inferred_path(self) -> int:
+        """Path the record certifies; zero photons tags path 2 when only
+        path 1 carries a cavity."""
+        return 1 if self.cavity1_photons == 1 else 2
+
+
 @dataclass(frozen=True, slots=True)
 class DetectionEvent:
     """One row of an EventLog as a read-only record, built by log.events
@@ -68,7 +87,7 @@ class DetectionEvent:
     experiment: str
     screen_x: Optional[float] = None
     mz_port: Optional[str] = None
-    whichway: Optional["WhichWayRecord"] = None
+    whichway: Optional[WhichWayRecord] = None
     scatter_xy: Optional[tuple[float, float]] = None
     stream_id: int = 0
 
@@ -90,6 +109,13 @@ DetectionEvent.__delattr__ = _frozen_delattr
 
 #: MZ_PORTS indexed by port code; code -1 takes the last entry, None.
 _PORTS_OR_NONE = np.array((*MZ_PORTS, None), dtype=object)
+
+#: The WhichWayRecord of cavity counts (c1, c2) at entry 3(c1 + 1) + (c2 + 1),
+#: None elsewhere (check() leaves (-1, -1), (0, 0), (0, 1) and (1, 0)); rows
+#: with equal counts share one record in every log. A tuple, as an object array
+#: hides its records from the collector and would keep a dropped module alive.
+_WHICHWAY_OR_NONE = tuple(WhichWayRecord(c1, c2) if (c1, c2) in ((0, 0), (0, 1), (1, 0)) else None
+                          for c1 in (-1, 0, 1) for c2 in (-1, 0, 1))
 
 
 def _spread(present: np.ndarray, values: list) -> list:
@@ -194,21 +220,6 @@ class EventColumns(NamedTuple):
                 raise ValueError(f"experiment must hold no comma or line break, got {name!r}")
 
 
-@functools.cache
-def _whichway_records() -> tuple:
-    """The 9 entries _records takes which-way records from, made once per
-    process: check() leaves the count pairs (-1, -1), (0, 0), (0, 1) and
-    (1, 0); pair (c1, c2) is entry 3(c1 + 1) + (c2 + 1), None for (-1, -1).
-    Every log's rows with equal counts share one record. A tuple, as the
-    collector cannot see into an object array that would hold them."""
-    from .measurement import WhichWayRecord  # measurement imports this module
-
-    table = [None] * 9
-    for a, b in ((0, 0), (0, 1), (1, 0)):
-        table[3 * a + b + 4] = WhichWayRecord(a, b)
-    return tuple(table)
-
-
 class _Row(DetectionEvent):
     """A DetectionEvent being filled (see _records): no slots of its own,
     and object's __setattr__ and __delattr__ in place of the frozen ones,
@@ -221,11 +232,12 @@ class _Row(DetectionEvent):
 
 def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
     """The rows of checked columns c as DetectionEvents: ids are the row
-    numbers, ports and which-way records one take each (equal counts share
-    one WhichWayRecord). With the collector paused, as records form no
-    cycle to free, the rows are allocated as _Rows in one C-level pass;
-    one loop then fills each row and retypes it to its base, DetectionEvent,
-    a change of class that compares no slot layouts."""
+    numbers, ports and which-way records one take each from the tables
+    made at import (equal counts share one WhichWayRecord in every log).
+    With the collector paused, as records form no cycle to free, the rows
+    are allocated as _Rows in one C-level pass; one loop then fills each
+    row and retypes it to its base, DetectionEvent, a change of class that
+    compares no slot layouts."""
     n, port, c1, none = c.experiment.size, c.mz_port, c.cavity1_photons, repeat(None)
     screen, scattered = ~np.isnan(c.screen_x), ~np.isnan(c.scatter_x)
     enabled = gc.isenabled()
@@ -236,7 +248,7 @@ def _records(c: EventColumns) -> tuple[DetectionEvent, ...]:
             events, range(n), c.experiment.tolist(),
             none if not np.count_nonzero(screen) else _spread(screen, c.screen_x[screen].tolist()),
             _PORTS_OR_NONE[port].tolist() if np.count_nonzero(port >= 0) else none,
-            np.array(_whichway_records(), dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
+            np.array(_WHICHWAY_OR_NONE, dtype=object)[3 * c1 + c.cavity2_photons + 4].tolist()
             if np.count_nonzero(c1 >= 0) else none,
             none if not np.count_nonzero(scattered) else _spread(scattered, list(zip(
                 c.scatter_x[scattered].tolist(), c.scatter_y[scattered].tolist()))),

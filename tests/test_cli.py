@@ -200,6 +200,26 @@ def test_sweep_detector_overlap(tmp_path):
     assert v_hi > v_lo + 0.5
 
 
+def slit_width_sweep(tmp_path, preset):
+    cfg, out = tmp_path / "base.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(serialize_config(build_preset(preset)))
+    assert run("sweep", "--config", cfg, "--param", "geometry.slit_width", "--from", "1e-6", "--to", "3e-6",
+               "--steps", 4, "--events", 2000, "--seed", 2, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("preset", ["eraser_modulation", "young_single_cavity", "young_baseline", "young_micromaser"])
+def test_sweep_gives_duality_only_on_a_literal_config(tmp_path, preset):
+    # a measurement-mediated V is the restored signal's and D = 1 comes from detector_overlap 0, so
+    # V^2 + D^2 bounds nothing there; test_replay pins the literal presets' slit sweeps byte for byte
+    mediated = build_preset(preset).pattern_convention == "measurement_mediated"
+    lines = slit_width_sweep(tmp_path, preset).read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER and len(lines) == 5
+    for value, v, d, lhs in (line.split(",") for line in lines[1:]):
+        assert v and d  # visibility and D are printed on both
+        assert lhs == ("" if mediated else repr(float(v) * float(v) + float(d) * float(d)))
+
+
 def test_sweep_rejects_zero_steps(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text(serialize_config(build_preset("young_baseline")))

@@ -1,9 +1,14 @@
 """Random streams, the event log and its records, and inverse-CDF position sampling."""
 
+import ast
 import dataclasses
 import gc
+import importlib.util
 import itertools
 import re
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,13 @@ from fringelab import montecarlo
 from fringelab.config import PRESET_NAMES, build_preset, parse_config
 from fringelab.experiments import run_experiment
 from fringelab.io import read_events_csv, write_events_csv
-from fringelab.measurement import WhichWayRecord
 from fringelab.montecarlo import (
     MZ_PORTS,
     DetectionEvent,
     EventColumns,
     EventLog,
     RngStream,
+    WhichWayRecord,
     sample_positions,
     sampling_grid,
 )
@@ -91,13 +96,52 @@ def test_shared_whichway_records_equal_fresh_ones(tmp_path, preset):
     log = run_experiment(build_preset(preset), 200, seed=4)
     path = tmp_path / "events.csv"
     write_events_csv(log, path)
-    for events in (log.events, read_events_csv(path).events):
-        shared = {id(e.whichway): e.whichway for e in events}
-        assert len(shared) == 2
-        for record in shared.values():
-            fresh = WhichWayRecord(record.cavity1_photons, record.cavity2_photons)
-            assert record == fresh
-            assert hash(record) == hash(fresh)
+    # one record per count pair, the import-time table's, shared by the run's log and the log read back
+    shared = {id(e.whichway): e.whichway for events in (log.events, read_events_csv(path).events) for e in events}
+    assert len(shared) == 2
+    for record in shared.values():
+        fresh = WhichWayRecord(record.cavity1_photons, record.cavity2_photons)
+        assert record == fresh
+        assert hash(record) == hash(fresh)
+        assert montecarlo._WHICHWAY_OR_NONE[3 * record.cavity1_photons + record.cavity2_photons + 4] is record
+
+
+def test_whichway_record_is_one_class_wherever_it_is_imported():
+    import fringelab
+    from fringelab import measurement
+
+    assert fringelab.WhichWayRecord is measurement.WhichWayRecord is montecarlo.WhichWayRecord is WhichWayRecord
+    assert WhichWayRecord.__module__ == "fringelab.montecarlo"
+
+
+def test_montecarlo_imports_no_fringelab_module():
+    # the record types live in montecarlo so that it needs no sibling, at import or lazily
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not [name for name in imported if name.startswith(".") or name.split(".")[0] == "fringelab"]
+
+
+def test_a_dropped_copy_of_the_record_module_is_freed():
+    # the shared records refer to their class and so to the module's globals; nothing the
+    # collector cannot see may hold them, or a module dropped from sys.modules stays alive
+    spec = importlib.util.spec_from_file_location("fringelab._montecarlo_copy", montecarlo.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = copy  # dataclass() looks its module up while the class is built
+    try:
+        spec.loader.exec_module(copy)
+    finally:
+        del sys.modules[spec.name]
+    events = copy.EventLog(event_columns(("run", 0.5, None, 0, 1))).events  # takes from the copy's table
+    assert events[0].whichway is copy._WHICHWAY_OR_NONE[5] and type(events[0].whichway) is not WhichWayRecord
+    record_class, function = weakref.ref(copy.WhichWayRecord), weakref.ref(copy._records)
+    del copy, events
+    gc.collect()
+    assert record_class() is None and function() is None
 
 
 def test_event_rejects_any_attribute_assignment():

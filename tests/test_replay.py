@@ -146,17 +146,23 @@ def test_analyze_eraser_and_sweep_outputs_match_their_recorded_digests(tmp_path,
 # CSV and stdout, then each step's events CSV at SWEEP_EVENTS and
 # SWEEP_SEED), recorded while every slit wave was computed from scratch.
 # Each step changes the waves but not the transport phase, so these pin
-# the bits of waves built from kept phasors and envelopes.
+# the bits of waves built from kept phasors and envelopes. The two
+# eraser_modulation digests were recorded again when sweep left duality_lhs
+# empty on a measurement-mediated config; their events CSVs did not move.
+# young_micromaser's, recorded before that change, pins a literal config's
+# duality_lhs with D = 1.
 
 SLIT_SWEEPS = {
     ("young_baseline", "geometry.slit_width"):
         "b2bf64140094dc4f6c2e4060a3f467e7c8ee76af717c1380e3f18bf01078c4ad",
     ("young_baseline", "geometry.slit_amplitude1"):
         "a341cf1e61240b16bdce49aaa8de9dc62e03b355a1ccb1429d79f2d53c7d4d51",
+    ("young_micromaser", "geometry.slit_width"):
+        "75f7ecc54e70d41145928a9efcc964b7ed956319622ee1ab7d0764073b3c5af0",
     ("eraser_modulation", "geometry.slit_width"):
-        "e8cf0dd84e5312ec0dd91b798c94e55a5b54e277986ecdf0c407ee65918585f6",
+        "f7a67bf9efb37180dff74d7be58f6380affca429871cb49aace22a999fdf8c19",
     ("eraser_modulation", "geometry.slit_amplitude1"):
-        "f714dbddca489c2934f3d183cbf93b7f847a0e8df708b93e0862d03787e75bb1",
+        "ae6697358a49eb6a64372ac6e1cb84e0133190784dee1bb2823d28f90e3d173a",
 }
 SLIT_SWEEP_BOUNDS = {"geometry.slit_width": ("1e-6", "3e-6"), "geometry.slit_amplitude1": ("0.25", "1")}
 
