@@ -60,4 +60,4 @@ from .wavefield import (
     two_slit_intensity,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.7.2"

@@ -16,14 +16,12 @@ Per-event uniforms by scenario family:
   leave no record, so those runs can log fewer events than particles.
 
 Each stream is drawn in blocks of PARTICLE_BLOCK particles, from
-sampling state computed once per run, or taken from the last run when
-that run was on the same config object, as the runs of a seed ensemble
-are; event_blocks yields each block's events as numpy columns. The
-command line's simulate hands each block to the CSV writer as it is
-drawn, so its memory does not grow with the run; run_experiment joins
-the blocks into one EventLog, whose constructor checks them once, and
-then builds the log's records in one bulk pass, unless the caller asks
-for the columns alone. A run of one
+sampling state computed once per run; event_blocks yields each block's
+events as numpy columns. The command line's simulate hands each block
+to the CSV writer as it is drawn, so its memory does not grow with the
+run; run_experiment joins the blocks into one EventLog, whose
+constructor checks them once, and then builds the log's records in one
+bulk pass, unless the caller asks for the columns alone. A run of one
 block keeps that block's arrays, unconcatenated (EventColumns.join). A
 block's draws continue its stream where the last block stopped, so the
 blocks hold the events one draw for the whole stream would. Weak-screen
@@ -38,7 +36,6 @@ oracles in the test suite's tests/oracles.py.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Optional
 
 import numpy as np
 
@@ -120,7 +117,7 @@ def fringe_window(config: ExperimentConfig) -> tuple[int, tuple[float, float]] |
 
 def _screen_grid(config: ExperimentConfig) -> np.ndarray:
     """The run's sampling grid across the screen, read-only, so that
-    pattern_terms may hold its baseline (composite._kept)."""
+    composite.pattern_terms may hold its baseline for it."""
     grid = config.geometry.screen_grid
     x = sampling_grid(grid.x_min, grid.x_max, SAMPLING_CELLS)
     x.flags.writeable = False
@@ -135,7 +132,6 @@ def _block_sizes(n: int):
 def _screen_blocks(config: ExperimentConfig):
     grid = _screen_grid(config)
     profile = pattern_profile(config, grid)
-    profile.flags.writeable = False
     return lambda rng, n: ((k, {"screen_x": sample_positions(grid, profile, rng, k)}) for k in _block_sizes(n))
 
 
@@ -156,7 +152,6 @@ def _tagged_blocks(config: ExperimentConfig):
         cdf1 = cdf2 = _profile_cdf(pattern_profile(config, grid))
     else:
         cdf1, cdf2 = (_profile_cdf(_slit_profile(config, slit, grid)) for slit in (1, 2))
-    cdf1.flags.writeable = cdf2.flags.writeable = False
 
     def fields(draws: np.ndarray) -> dict:
         through1 = draws[:, 0] < p1
@@ -199,7 +194,6 @@ def _weak_screen_blocks(config: ExperimentConfig):
     mz, beam, screen = config.geometry, config.beam, config.weak_screen
     positions, weights = midline_profile(mz, beam, SAMPLING_CELLS)
     cdf = _profile_cdf(weights)
-    positions.flags.writeable = cdf.flags.writeable = False
     px = _port_x_fraction(config)
     transmit_below = screen.scatter_fraction + screen.transmittance
     midline_y = mz.crossing_region.midline_y
@@ -231,37 +225,17 @@ def _weak_screen_blocks(config: ExperimentConfig):
     return blocks
 
 
-#: The last run's (config, sampling state), rebound whole by _stream_blocks.
-_kept: Optional[tuple] = None
-
-
 def _stream_blocks(config: ExperimentConfig):
     """The run's sampling state, computed from the config, as a function
     from one stream's generator and particle count to that stream's
-    blocks: (rows, terminal fields) per PARTICLE_BLOCK particles.
-
-    The state of the last run is kept (_kept) and serves the next run on
-    the same config object, as the runs of a seed ensemble are. The key
-    is the object itself, not ==, which takes -0.0 for 0.0 in an
-    amplitude; a config is frozen, and the kept one stays alive, so its
-    object still describes the state it was kept with. The kept arrays
-    are read-only. A state that fails to build leaves the kept one as it
-    was; a plain screen profile is checked as each block is drawn, so a
-    screen config refused there is refused again from its kept state."""
-    global _kept
-    kept = _kept
-    if kept is not None and kept[0] is config:
-        return kept[1]
+    blocks: (rows, terminal fields) per PARTICLE_BLOCK particles."""
     if config.scenario == "mz_weak_screen":
-        state = _weak_screen_blocks(config)
-    elif config.scenario in MZ_SCENARIOS:
-        state = _port_blocks(config)
-    elif config.scenario in CAVITY_SCENARIOS:
-        state = _tagged_blocks(config)
-    else:
-        state = _screen_blocks(config)
-    _kept = (config, state)
-    return state
+        return _weak_screen_blocks(config)
+    if config.scenario in MZ_SCENARIOS:
+        return _port_blocks(config)
+    if config.scenario in CAVITY_SCENARIOS:
+        return _tagged_blocks(config)
+    return _screen_blocks(config)
 
 
 def _generate(config: ExperimentConfig, stream_id: int, n: int, fields: dict) -> tuple:
@@ -283,9 +257,8 @@ def event_blocks(config: ExperimentConfig, n_events: int, seed: int, n_streams: 
     draws from the generator keyed (seed, s), streams follow in order, and
     event i is the i-th row yielded. Only weak-screen blocks can hold
     fewer rows than particles, as absorbed particles leave none. The
-    sampling state is computed when the first block is drawn, unless the
-    last run was on this config object and kept its state (_stream_blocks);
-    a bad argument or profile raises ValueError then. The caller's
+    sampling state is computed when the first block is drawn; a bad
+    argument or profile raises ValueError then. The caller's
     EventLog checks the columns.
     """
     if n_events < 1:

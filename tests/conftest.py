@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fringelab import composite, experiments
+from fringelab import composite
 from fringelab.montecarlo import MZ_PORTS, EventColumns
 
 
@@ -46,10 +46,3 @@ def counted_phases(monkeypatch):
     monkeypatch.setattr(composite, "transport_phase", counted)
     return calls
 
-
-@pytest.fixture
-def cold_sampling_state(monkeypatch):
-    """A cold memo of the last run's sampling state (experiments._kept),
-    put back as it was after the test, so a state built from a patched
-    profile source serves no later run."""
-    monkeypatch.setattr(experiments, "_kept", None)

@@ -64,7 +64,7 @@ def test_simulate_checks_the_generated_columns(tmp_path, capsys, monkeypatch):
         assert len(blocks) == bad_block + 1, bad_block  # no block is drawn after the refused one
 
 
-def test_simulate_leaves_no_file_when_set_up_fails(tmp_path, capsys, monkeypatch, cold_sampling_state):
+def test_simulate_leaves_no_file_when_set_up_fails(tmp_path, capsys, monkeypatch):
     # the run's profile is computed when its first block is drawn, before the file is opened
     monkeypatch.setattr(experiments, "pattern_profile", lambda config, x: np.zeros_like(x))
     out = tmp_path / "x.csv"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fringelab import config as config_module
 from fringelab.composite import PhaseNoise
 from fringelab.config import (
     _SCHEMA,
@@ -456,33 +455,14 @@ def test_schema_round_trips_in_range_values(scenario, data):
     assert config_digest(again) == config_digest(config)
 
 
-class _CountedText(str):
-    """A config text that counts the times it is split into lines."""
-
-    splits = 0
-
-    def splitlines(self, *args):
-        type(self).splits += 1
-        return super().splitlines(*args)
-
-
-@pytest.fixture
-def cold_memo(monkeypatch):
-    """parse_config with no text kept."""
-    monkeypatch.setattr(config_module, "_kept", None)
-
-
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_a_kept_text_parses_as_a_cold_one(monkeypatch, cold_memo, name):
-    text = _CountedText(serialize_config(build_preset(name)))
-    monkeypatch.setattr(_CountedText, "splits", 0)
+def test_a_text_parses_alike_on_every_call(name):
+    text = serialize_config(build_preset(name))
     for overrides in (None, {"internal_overlap": "0.25"}, {"internal_overlap": "0.5"}):
-        monkeypatch.setattr(config_module, "_kept", None)
-        cold = parse_config(text, overrides)
-        warm = parse_config(text, overrides)
-        assert warm == cold
-        assert serialize_config(warm).encode() == serialize_config(cold).encode()
-    assert _CountedText.splits == 3  # once per cold parse; the warm ones read the kept table
+        first = parse_config(text, overrides)
+        again = parse_config(text, overrides)
+        assert again == first
+        assert serialize_config(again).encode() == serialize_config(first).encode()
 
 
 @pytest.mark.parametrize("text,message", [
@@ -494,23 +474,19 @@ def test_a_kept_text_parses_as_a_cold_one(monkeypatch, cold_memo, name):
     ("scenario = young_baseline\ndetector_overlap = half\n", "line 2: bad value for detector_overlap"),
     ("scenario = young_baseline\ndetector_overlap = 1.5\n", "line 2: detector_overlap must lie in [0, 1]"),
 ])
-def test_a_bad_text_raises_alike_on_every_call_and_is_never_kept(cold_memo, text, message):
+def test_a_bad_text_raises_alike_on_every_call(text, message):
     good = serialize_config(build_preset("young_baseline"))
     expected = parse_config(good)
     for _ in range(3):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             parse_config(text)
-        kept = config_module._kept
-        assert kept is None or kept[0] == good
         assert parse_config(good) == expected  # a good text parsed after a bad one still parses
-        assert config_module._kept[0] == good
 
 
-def test_a_kept_text_whose_bad_value_an_override_mended_still_cites_it(cold_memo):
+def test_a_bad_value_an_override_replaced_is_cited_once_the_override_is_gone():
     text = "scenario = young_baseline\ndetector_overlap = half\n"
     for _ in range(2):
         assert parse_config(text, overrides={"detector_overlap": "0.5"}).detector_overlap == 0.5
-        assert config_module._kept[0] == text
         with pytest.raises(ConfigError, match="^line 2: bad value for detector_overlap"):
             parse_config(text)
 
@@ -522,28 +498,25 @@ def test_a_kept_text_whose_bad_value_an_override_mended_still_cites_it(cold_memo
     ({"mz.phase_difference": "0.5"}, "key 'mz.phase_difference' is not valid for scenario young_baseline"),
     ({"scenario": "young_quadruple_slit"}, "unknown scenario 'young_quadruple_slit'"),
 ])
-def test_an_override_error_cites_no_line_on_a_miss_or_a_hit(cold_memo, overrides, message):
+def test_an_override_error_cites_no_line(overrides, message):
     text = serialize_config(build_preset("young_baseline"))
-    for kept in (False, True):
-        assert (config_module._kept is not None and config_module._kept[0] == text) is kept
+    for _ in range(2):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}") as err:
             parse_config(text, overrides)
         assert err.value.line is None
-        parse_config(text)  # kept for the next round
+        parse_config(text)  # a good parse of the same text between the two
 
 
-def test_an_override_never_leaks_into_the_next_parse(cold_memo):
+def test_an_override_never_leaks_into_the_next_parse():
     text = serialize_config(build_preset("young_micromaser"))
     plain = parse_config(text)
-    table = dict(config_module._kept[1])
     for value in ("0.1", "0.9"):
         assert parse_config(text, overrides={"internal_overlap": value}).internal_overlap == float(value)
         assert parse_config(text, overrides={"geometry.slit_width": value + "e-6"}) != plain
         assert parse_config(text) == plain
-    assert config_module._kept[1] == table
 
 
-def test_texts_one_byte_apart_each_parse_to_their_own_config(cold_memo):
+def test_texts_one_byte_apart_each_parse_to_their_own_config():
     a = "scenario = young_baseline\ndetector_overlap = 0.5\n"
     b = "scenario = young_baseline\ndetector_overlap = 0.6\n"
     for _ in range(2):

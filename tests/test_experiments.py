@@ -191,23 +191,32 @@ def _bad_profile(case: str) -> np.ndarray:
     return weights
 
 
-@pytest.mark.parametrize("case,message", [
-    ("negative", "profile values must be nonnegative"),
-    ("nan", "profile values must be finite"),
-    ("all zero", "profile must have at least one positive value"),
-])
-@pytest.mark.parametrize("preset,source", [
-    ("young_baseline", "pattern_profile"),  # screen
-    ("young_micromaser", "_slit_profile"),  # tagged, literal convention
-    ("eraser_modulation", "pattern_profile"),  # tagged, measurement_mediated convention
-    ("mz_weak_screen", "midline_profile"),  # weak screen
-])
-def test_every_sampler_refuses_a_bad_profile_alike(monkeypatch, cold_sampling_state, preset, source, case, message):
+def _patch_bad_profile(monkeypatch, source: str, case: str) -> None:
+    """Make one of the samplers' profile sources return a bad profile."""
     bad = _bad_profile(case)
     if source == "midline_profile":
         monkeypatch.setattr(experiments, source, lambda mz, beam, n_cells: (sampling_grid(0.0, 1.0, n_cells), bad))
     else:
         monkeypatch.setattr(experiments, source, lambda *args: bad)
+
+
+_BAD_PROFILES = pytest.mark.parametrize("case,message", [
+    ("negative", "profile values must be nonnegative"),
+    ("nan", "profile values must be finite"),
+    ("all zero", "profile must have at least one positive value"),
+])
+_PROFILE_SOURCES = pytest.mark.parametrize("preset,source", [
+    ("young_baseline", "pattern_profile"),  # screen
+    ("young_micromaser", "_slit_profile"),  # tagged, literal convention
+    ("eraser_modulation", "pattern_profile"),  # tagged, measurement_mediated convention
+    ("mz_weak_screen", "midline_profile"),  # weak screen
+])
+
+
+@_BAD_PROFILES
+@_PROFILE_SOURCES
+def test_every_sampler_refuses_a_bad_profile_alike(monkeypatch, preset, source, case, message):
+    _patch_bad_profile(monkeypatch, source, case)
     with pytest.raises(ValueError) as refused:
         run_experiment(build_preset(preset), 100, seed=1)
     assert str(refused.value) == message
@@ -447,92 +456,73 @@ def test_interleaved_sweeps_profile_as_a_cold_memo_does(counted_phases):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_cold_and_warm_wave_caches_log_the_same_events(counted_phases, cold_sampling_state, name):
+def test_cold_and_warm_wave_caches_log_the_same_events(counted_phases, name):
     config = build_preset(name)
     cold = run_experiment(config, 500, seed=11, n_streams=2)
     made = len(counted_phases)
-    experiments._kept = None  # the warm run builds its profile again, from the kept waves
     warm = run_experiment(config, 500, seed=11, n_streams=2)
     assert warm == cold
     assert len(counted_phases) == made  # the second run computed no wave
     assert made == (0 if name in MZ_SCENARIOS else 2)
 
 
-# --- the kept sampling state: a run on the config object of the last run
-# takes that run's state, and logs what a run with a cold memo logs ---
+# --- runs keep nothing between calls: a run on the config object of an
+# earlier run logs what a run on a fresh config object logs ---
 
 
 def _column_bytes(log: EventLog) -> list:
     return [c.tolist() if c.dtype == object else c.tobytes() for c in log._columns]
 
 
-def _run_bytes(config, seed: int, cold: bool = False) -> list:
-    if cold:
-        experiments._kept = None
+def _run_bytes(config, seed: int) -> list:
     return _column_bytes(run_experiment(config, 3000, seed, n_streams=2))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_runs_on_one_config_object_log_what_cold_runs_log(cold_sampling_state, name):
+def test_runs_on_one_config_object_log_what_fresh_runs_log(name):
+    fresh = [_run_bytes(build_preset(name), seed) for seed in (1, 2, 3)]
     config = build_preset(name)
-    cold = [_run_bytes(config, seed, cold=True) for seed in (1, 2, 3)]
-    experiments._kept = None
-    warm, states = [], set()
-    for seed in (1, 2, 3):
-        warm.append(_run_bytes(config, seed))
-        assert experiments._kept[0] is config
-        states.add(id(experiments._kept[1]))
-    assert warm == cold
-    assert len(states) == 1  # the first run's state served the other two
+    assert [_run_bytes(config, seed) for seed in (1, 2, 3)] == fresh
 
 
-def test_interleaved_configs_log_what_cold_runs_log(cold_sampling_state):
-    a, b = build_preset("mz_weak_screen"), build_preset("young_micromaser")
-    cold = [_run_bytes(config, seed, cold=True) for config, seed in ((a, 4), (b, 5), (a, 6))]
-    experiments._kept = None
-    assert [_run_bytes(config, seed) for config, seed in ((a, 4), (b, 5), (a, 6))] == cold
-    assert experiments._kept[0] is a
+def test_interleaved_configs_log_what_fresh_runs_log():
+    runs = (("mz_weak_screen", 4), ("young_micromaser", 5), ("mz_weak_screen", 6))
+    fresh = [_run_bytes(build_preset(name), seed) for name, seed in runs]
+    configs = {name: build_preset(name) for name, _ in runs}
+    assert [_run_bytes(configs[name], seed) for name, seed in runs] == fresh
 
 
-def test_an_equal_config_with_a_negative_zero_amplitude_builds_its_own_state(cold_sampling_state):
+def test_an_equal_config_with_a_negative_zero_amplitude_logs_what_it_logged_alone():
     base = build_preset("young_baseline")
     plus, minus = (dataclasses.replace(base, geometry=dataclasses.replace(base.geometry, slit_amplitudes=(1.0, zero)))
                    for zero in (0j, complex(-0.0, 0.0)))
     assert plus == minus  # == takes -0.0 for 0.0
-    cold = _run_bytes(minus, 7, cold=True)
-    _run_bytes(plus, 7, cold=True)
-    held = experiments._kept
-    assert _run_bytes(minus, 7) == cold
-    assert experiments._kept[0] is minus and experiments._kept[1] is not held[1]
+    alone = _run_bytes(minus, 7)
+    _run_bytes(plus, 7)
+    assert _run_bytes(minus, 7) == alone
 
 
 @pytest.mark.parametrize("refused", ["negative tagged signal", "nan midline"])
-def test_a_refused_config_leaves_the_kept_state_as_it_was(monkeypatch, cold_sampling_state, refused):
+def test_a_refused_config_leaves_the_next_run_as_it_was(monkeypatch, refused):
     good = build_preset("mz_weak_screen")
-    cold = _run_bytes(good, 8, cold=True)
-    held = experiments._kept
+    before = _run_bytes(good, 8)
     if refused == "negative tagged signal":
         bad = parse_config("scenario = eraser_modulation\nmeasurement.g12 = 2\nmeasurement.g21 = 2\n")
     else:
         bad = build_preset("mz_weak_screen")
-        monkeypatch.setattr(experiments, "midline_profile",
-                            lambda mz, beam, n_cells: (sampling_grid(0.0, 1.0, n_cells), _bad_profile("nan")))
+        _patch_bad_profile(monkeypatch, "midline_profile", "nan")
     with pytest.raises(ValueError, match="profile values must be"):
         run_experiment(bad, 100, seed=1)
-    assert experiments._kept is held
-    assert _run_bytes(good, 8) == cold
+    monkeypatch.undo()
+    assert _run_bytes(good, 8) == before
 
 
-def _held_arrays(function) -> list:
-    """The arrays a function's closure holds, through the functions it holds."""
-    held = [cell.cell_contents for cell in function.__closure__ or ()]
-    return [a for a in held if isinstance(a, np.ndarray)] + [
-        a for f in held if callable(f) and hasattr(f, "__closure__") for a in _held_arrays(f)]
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_the_kept_arrays_are_read_only(cold_sampling_state, name):
-    run_experiment(build_preset(name), 10, seed=1)
-    arrays = _held_arrays(experiments._kept[1])
-    assert arrays or name in MZ_SCENARIOS  # a port state holds one fraction alone
-    assert not any(a.flags.writeable for a in arrays)
+@_BAD_PROFILES
+@_PROFILE_SOURCES
+def test_a_second_run_on_one_config_object_reads_the_patched_profile_source(monkeypatch, preset, source, case, message):
+    config = build_preset(preset)
+    run_experiment(config, 100, seed=1)
+    _patch_bad_profile(monkeypatch, source, case)
+    with pytest.raises(ValueError) as refused:
+        run_experiment(config, 100, seed=1)
+    assert str(refused.value) == message
